@@ -84,7 +84,7 @@ fn bench_parallel_scoring(c: &mut Criterion) {
             ..Default::default()
         });
         group.bench_with_input(BenchmarkId::from_parameter(label), &explainer, |b, ex| {
-            b.iter(|| ex.explain(&matcher, &schema, &record));
+            b.iter(|| ex.explain(&matcher, &schema, &record, em_obs::noop()));
         });
     }
     group.finish();

@@ -47,12 +47,16 @@ fn bench_pipeline_stages(c: &mut Criterion) {
         .collect();
     let mut group = c.benchmark_group("stage_model_scoring_500");
     group.sample_size(10);
-    group.bench_function("predict_proba_batch", |b| {
-        b.iter(|| matcher.predict_proba_batch(&schema, &reconstructed));
-    });
+    let score_all = || -> Vec<f64> {
+        reconstructed
+            .iter()
+            .map(|p| matcher.predict_proba(&schema, p))
+            .collect()
+    };
+    group.bench_function("predict_proba", |b| b.iter(score_all));
     group.finish();
 
-    let probs = matcher.predict_proba_batch(&schema, &reconstructed);
+    let probs = score_all();
     c.bench_function("stage_surrogate_fit_500", |b| {
         b.iter(|| fit_surrogate(&masks, &probs, &SurrogateConfig::default()));
     });

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use em_text::monge_elkan::monge_elkan_symmetric;
-use em_text::{jaccard, jaro_winkler, levenshtein, qgram_cosine, TfIdfVectorizerBuilder};
+use em_text::{jaccard, jaro_winkler, levenshtein, TfIdfVectorizerBuilder};
 
 const LEFT: &str = "sonix alpha digital slr camera with lens kit dslra200w";
 const RIGHT: &str = "sonix digital camera lens kit dslra200";
@@ -11,9 +11,6 @@ const RIGHT: &str = "sonix digital camera lens kit dslra200";
 fn bench_char_metrics(c: &mut Criterion) {
     c.bench_function("levenshtein", |b| b.iter(|| levenshtein(LEFT, RIGHT)));
     c.bench_function("jaro_winkler", |b| b.iter(|| jaro_winkler(LEFT, RIGHT)));
-    c.bench_function("qgram_cosine_q3", |b| {
-        b.iter(|| qgram_cosine(LEFT, RIGHT, 3))
-    });
 }
 
 fn bench_token_metrics(c: &mut Criterion) {

@@ -62,7 +62,7 @@ fn main() {
         let mut errs: Vec<f64> = Vec::new();
         let mut rng = StdRng::seed_from_u64(99);
         for pair in &records {
-            let e = explainer.explain(&matcher, schema, pair);
+            let e = explainer.explain(&matcher, schema, pair, em_obs::noop());
             r2_sum += e.surrogate_r2;
             if e.token_weights.is_empty() {
                 continue;

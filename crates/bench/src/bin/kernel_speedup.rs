@@ -85,8 +85,9 @@ fn main() {
     };
 
     let (naive_s, naive) =
-        explain_all(&|pair| explainer.explain(&NaiveOnly(&matcher), schema, pair));
-    let (kernel_s, kernel) = explain_all(&|pair| explainer.explain(&matcher, schema, pair));
+        explain_all(&|pair| explainer.explain(&NaiveOnly(&matcher), schema, pair, em_obs::noop()));
+    let (kernel_s, kernel) =
+        explain_all(&|pair| explainer.explain(&matcher, schema, pair, em_obs::noop()));
 
     let identical = naive.iter().zip(&kernel).all(|(a, b)| {
         a.both().iter().zip(b.both().iter()).all(|(x, y)| {

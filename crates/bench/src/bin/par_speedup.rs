@@ -3,8 +3,9 @@
 //! Explains the same records twice — once with `ParallelismConfig::serial()`
 //! and once with one worker per core — at both parallel levels:
 //!
-//! 1. **within one explanation**: the record's reconstructed perturbation
-//!    pairs fan out across threads inside `par_predict_proba_batch`;
+//! 1. **within one explanation**: the record's perturbation masks fan out
+//!    across threads inside `MatchModel::par_score_masks`, one prepared
+//!    scorer per worker via `em_par::par_map_init`;
 //! 2. **across records**: the eval harness explains records concurrently,
 //!    each seeded from the base seed and its record index.
 //!
@@ -62,7 +63,7 @@ fn main() {
         let start = Instant::now();
         let duals: Vec<_> = records
             .iter()
-            .map(|pair| explainer.explain(&matcher, schema, pair))
+            .map(|pair| explainer.explain(&matcher, schema, pair, em_obs::noop()))
             .collect();
         (start.elapsed(), duals)
     };

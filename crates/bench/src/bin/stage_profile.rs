@@ -48,7 +48,7 @@ fn run_cell(
                 ..Default::default()
             });
             for pair in pairs {
-                e.explain_traced(model, schema, pair, trace);
+                e.explain(model, schema, pair, trace);
             }
         }
         "lime" => {
@@ -58,7 +58,7 @@ fn run_cell(
                 ..Default::default()
             });
             for pair in pairs {
-                e.explain_traced(model, schema, pair, trace);
+                e.explain(model, schema, pair, trace);
             }
         }
         "mojito-copy" => {
@@ -68,7 +68,7 @@ fn run_cell(
                 ..Default::default()
             });
             for pair in pairs {
-                e.explain_traced(model, schema, pair, trace);
+                e.explain(model, schema, pair, trace);
             }
         }
         other => unreachable!("unknown explainer {other}"),

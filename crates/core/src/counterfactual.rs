@@ -206,6 +206,7 @@ mod tests {
             &schema(),
             &pair,
             EntitySide::Left,
+            em_obs::noop(),
         );
         let cf = counterfactual(
             &Overlap,
@@ -234,6 +235,7 @@ mod tests {
             &schema(),
             &pair,
             EntitySide::Left,
+            em_obs::noop(),
         );
         let cf = counterfactual(
             &Overlap,
@@ -263,6 +265,7 @@ mod tests {
             &schema(),
             &pair,
             EntitySide::Left,
+            em_obs::noop(),
         );
         let cf = counterfactual(
             &Overlap,
@@ -293,6 +296,7 @@ mod tests {
             &schema(),
             &pair,
             EntitySide::Left,
+            em_obs::noop(),
         );
         let cf = counterfactual(
             &Overlap,

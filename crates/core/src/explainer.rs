@@ -127,20 +127,11 @@ impl LandmarkExplainer {
         LandmarkExplainer { config }
     }
 
-    /// Produces the two landmark explanations for a record.
+    /// Produces the two landmark explanations for a record, with
+    /// per-stage timings recorded into `tracer` (`em_obs::noop()` when
+    /// untraced). Tracing only observes — traced and untraced
+    /// explanations are bit-identical (DESIGN.md §10).
     pub fn explain<M: MatchModel + Sync>(
-        &self,
-        model: &M,
-        schema: &Schema,
-        pair: &EntityPair,
-    ) -> DualExplanation {
-        self.explain_traced(model, schema, pair, em_obs::noop())
-    }
-
-    /// [`LandmarkExplainer::explain`] with per-stage timings recorded into
-    /// `tracer`. Tracing only observes — traced and untraced explanations
-    /// are bit-identical (DESIGN.md §10).
-    pub fn explain_traced<M: MatchModel + Sync>(
         &self,
         model: &M,
         schema: &Schema,
@@ -148,14 +139,14 @@ impl LandmarkExplainer {
         tracer: &dyn Tracer,
     ) -> DualExplanation {
         DualExplanation {
-            left_landmark: self.explain_with_landmark_traced(
+            left_landmark: self.explain_with_landmark(
                 model,
                 schema,
                 pair,
                 EntitySide::Left,
                 tracer,
             ),
-            right_landmark: self.explain_with_landmark_traced(
+            right_landmark: self.explain_with_landmark(
                 model,
                 schema,
                 pair,
@@ -165,20 +156,9 @@ impl LandmarkExplainer {
         }
     }
 
-    /// Produces one explanation with `landmark` frozen.
+    /// Produces one explanation with `landmark` frozen, with per-stage
+    /// timings recorded into `tracer`.
     pub fn explain_with_landmark<M: MatchModel + Sync>(
-        &self,
-        model: &M,
-        schema: &Schema,
-        pair: &EntityPair,
-        landmark: EntitySide,
-    ) -> LandmarkExplanation {
-        self.explain_with_landmark_traced(model, schema, pair, landmark, em_obs::noop())
-    }
-
-    /// [`LandmarkExplainer::explain_with_landmark`] with per-stage timings
-    /// recorded into `tracer`.
-    pub fn explain_with_landmark_traced<M: MatchModel + Sync>(
         &self,
         model: &M,
         schema: &Schema,
@@ -220,8 +200,7 @@ impl LandmarkExplainer {
             };
             PerturbSpec::TokenDrop { pair, left, right }
         };
-        let probs =
-            model.par_score_masks_traced(schema, &spec, &masks, &self.config.parallelism, tracer);
+        let probs = model.par_score_masks(schema, &spec, &masks, &self.config.parallelism, tracer);
         let fit = {
             let _span = Span::enter(tracer, Stage::SurrogateFit);
             fit_surrogate(&masks, &probs, &self.config.surrogate)
@@ -323,7 +302,12 @@ mod tests {
 
     #[test]
     fn dual_explanation_has_both_landmarks() {
-        let d = LandmarkExplainer::default().explain(&JaccardModel, &schema(), &matching_pair());
+        let d = LandmarkExplainer::default().explain(
+            &JaccardModel,
+            &schema(),
+            &matching_pair(),
+            em_obs::noop(),
+        );
         assert_eq!(d.left_landmark.landmark, EntitySide::Left);
         assert_eq!(d.left_landmark.varying, EntitySide::Right);
         assert_eq!(d.right_landmark.landmark, EntitySide::Right);
@@ -333,9 +317,14 @@ mod tests {
     #[test]
     fn auto_picks_single_for_matching_and_double_for_non_matching() {
         let ex = LandmarkExplainer::default();
-        let m = ex.explain(&JaccardModel, &schema(), &matching_pair());
+        let m = ex.explain(&JaccardModel, &schema(), &matching_pair(), em_obs::noop());
         assert_eq!(m.left_landmark.strategy, ResolvedStrategy::SingleEntity);
-        let n = ex.explain(&JaccardModel, &schema(), &non_matching_pair());
+        let n = ex.explain(
+            &JaccardModel,
+            &schema(),
+            &non_matching_pair(),
+            em_obs::noop(),
+        );
         assert_eq!(n.left_landmark.strategy, ResolvedStrategy::DoubleEntity);
     }
 
@@ -350,6 +339,7 @@ mod tests {
             &schema(),
             &matching_pair(),
             EntitySide::Left,
+            em_obs::noop(),
         );
         // Varying = right entity: 5 tokens.
         assert_eq!(e.explanation.token_weights.len(), 5);
@@ -373,6 +363,7 @@ mod tests {
             &schema(),
             &matching_pair(),
             EntitySide::Left,
+            em_obs::noop(),
         );
         for tw in &e.explanation.token_weights {
             match tw.token.text.as_str() {
@@ -396,6 +387,7 @@ mod tests {
             &schema(),
             &non_matching_pair(),
             EntitySide::Left,
+            em_obs::noop(),
         );
         // Varying (right) has 4 tokens, injected (left) has 4.
         assert_eq!(e.explanation.token_weights.len(), 8);
@@ -420,6 +412,7 @@ mod tests {
             &schema(),
             &non_matching_pair(),
             EntitySide::Left,
+            em_obs::noop(),
         );
         let injected = e.injected_token_weights();
         let mean_injected: f64 =
@@ -448,6 +441,7 @@ mod tests {
             &schema(),
             &pair,
             EntitySide::Left,
+            em_obs::noop(),
         );
         let expected = JaccardModel.predict_proba(&schema(), &pair);
         assert!((e.explanation.model_prediction - expected).abs() < 1e-12);
@@ -455,7 +449,12 @@ mod tests {
 
     #[test]
     fn two_landmarks_use_different_masks() {
-        let d = LandmarkExplainer::default().explain(&JaccardModel, &schema(), &matching_pair());
+        let d = LandmarkExplainer::default().explain(
+            &JaccardModel,
+            &schema(),
+            &matching_pair(),
+            em_obs::noop(),
+        );
         // The two explanations are over different token sets but even their
         // weights should not be mirror-identical.
         assert_ne!(d.left_landmark.explanation.token_weights.len(), 0);
@@ -468,8 +467,18 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let ex = LandmarkExplainer::default();
-        let a = ex.explain(&JaccardModel, &schema(), &non_matching_pair());
-        let b = ex.explain(&JaccardModel, &schema(), &non_matching_pair());
+        let a = ex.explain(
+            &JaccardModel,
+            &schema(),
+            &non_matching_pair(),
+            em_obs::noop(),
+        );
+        let b = ex.explain(
+            &JaccardModel,
+            &schema(),
+            &non_matching_pair(),
+            em_obs::noop(),
+        );
         assert_eq!(
             a.left_landmark.explanation.token_weights,
             b.left_landmark.explanation.token_weights
@@ -492,6 +501,7 @@ mod tests {
             &schema(),
             &p,
             EntitySide::Left,
+            em_obs::noop(),
         );
         assert!(e.explanation.token_weights.is_empty());
     }

@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-pub mod anchor;
 pub mod counterfactual;
 pub mod explainer;
 pub mod generation;
@@ -40,7 +39,6 @@ pub mod reconstruction;
 pub mod strategy;
 pub mod summary;
 
-pub use anchor::{LandmarkAnchorConfig, LandmarkAnchorExplainer, LandmarkAnchorExplanation};
 pub use counterfactual::{counterfactual, Counterfactual, CounterfactualConfig, Edit};
 pub use em_par::ParallelismConfig;
 pub use explainer::{DualExplanation, LandmarkConfig, LandmarkExplainer, LandmarkExplanation};

@@ -268,6 +268,10 @@ pub fn run_explain<M: em_entity::MatchModel + Sync>(
 /// [`run_explain`] with per-stage timings recorded into `tracer`. Tracing
 /// only observes: traced and untraced response bodies are byte-identical
 /// (DESIGN.md §10).
+///
+/// Every explainer takes its tracer as a parameter; this is the one
+/// traced twin left, because the fleet benchmark harness (`fleetbench/`)
+/// calls [`run_explain`] with exactly three arguments.
 pub fn run_explain_traced<M: em_entity::MatchModel + Sync>(
     model: &M,
     schema: &Schema,
@@ -289,7 +293,7 @@ pub fn run_explain_traced<M: em_entity::MatchModel + Sync>(
                 seed: options.seed,
                 parallelism: options.parallelism(),
             });
-            let dual = explainer.explain_traced(model, schema, &request.pair, tracer);
+            let dual = explainer.explain(model, schema, &request.pair, tracer);
             dual.both()
                 .iter()
                 .map(|view| {
@@ -311,7 +315,7 @@ pub fn run_explain_traced<M: em_entity::MatchModel + Sync>(
                 seed: options.seed,
                 parallelism: options.parallelism(),
             });
-            let explanation = explainer.explain_traced(model, schema, &request.pair, tracer);
+            let explanation = explainer.explain(model, schema, &request.pair, tracer);
             vec![encode_view(
                 schema,
                 None,
@@ -329,7 +333,7 @@ pub fn run_explain_traced<M: em_entity::MatchModel + Sync>(
                 seed: options.seed,
                 parallelism: options.parallelism(),
             });
-            let explanation = explainer.explain_traced(model, schema, &request.pair, tracer);
+            let explanation = explainer.explain(model, schema, &request.pair, tracer);
             vec![encode_view(
                 schema,
                 None,
@@ -553,7 +557,7 @@ mod tests {
             seed: 7,
             ..Default::default()
         })
-        .explain(&OverlapModel, &s, &req.pair);
+        .explain(&OverlapModel, &s, &req.pair, em_obs::noop());
 
         let views = response.get("explanations").unwrap().as_array().unwrap();
         assert_eq!(views.len(), 2);

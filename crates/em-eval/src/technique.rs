@@ -94,7 +94,7 @@ pub fn explain_record<M: MatchModel + Sync>(
                 seed,
                 parallelism: ParallelismConfig::serial(),
             });
-            let dual = explainer.explain(model, schema, pair);
+            let dual = explainer.explain(model, schema, pair, em_obs::noop());
             dual.both()
                 .into_iter()
                 .map(|le| {
@@ -132,7 +132,7 @@ pub fn explain_record<M: MatchModel + Sync>(
                 seed,
                 parallelism: ParallelismConfig::serial(),
             });
-            let e = explainer.explain(model, schema, pair);
+            let e = explainer.explain(model, schema, pair, em_obs::noop());
             vec![ExplainedRecord {
                 base: pair.clone(),
                 base_prediction: e.model_prediction,
@@ -152,7 +152,7 @@ pub fn explain_record<M: MatchModel + Sync>(
                 seed,
                 ..Default::default()
             });
-            let e = explainer.explain(model, schema, pair);
+            let e = explainer.explain(model, schema, pair, em_obs::noop());
             vec![ExplainedRecord {
                 base: pair.clone(),
                 base_prediction: e.model_prediction,

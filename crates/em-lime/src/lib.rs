@@ -22,14 +22,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-pub mod anchor;
 pub mod explanation;
 pub mod lime;
 pub mod mojito;
 pub mod sampler;
 pub mod surrogate;
 
-pub use anchor::{AnchorConfig, AnchorExplainer, AnchorExplanation};
 pub use em_par::ParallelismConfig;
 pub use explanation::{PairExplanation, TokenWeight};
 pub use lime::{LimeConfig, LimeExplainer};

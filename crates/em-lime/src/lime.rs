@@ -57,19 +57,11 @@ impl LimeExplainer {
 
     /// Explains one record: perturbs tokens of both entities, scores the
     /// reconstructions with `model`, and fits the surrogate.
+    ///
+    /// Per-stage timings are recorded into `tracer` (`em_obs::noop()` when
+    /// untraced). Tracing only observes — traced and untraced
+    /// explanations are bit-identical (DESIGN.md §10).
     pub fn explain<M: MatchModel + Sync>(
-        &self,
-        model: &M,
-        schema: &Schema,
-        pair: &EntityPair,
-    ) -> PairExplanation {
-        self.explain_traced(model, schema, pair, em_obs::noop())
-    }
-
-    /// [`LimeExplainer::explain`] with per-stage timings recorded into
-    /// `tracer`. Tracing only observes — traced and untraced explanations
-    /// are bit-identical (DESIGN.md §10).
-    pub fn explain_traced<M: MatchModel + Sync>(
         &self,
         model: &M,
         schema: &Schema,
@@ -99,8 +91,7 @@ impl LimeExplainer {
                 right: SideSpec::Varying(&right_tokens),
             }
         };
-        let probs =
-            model.par_score_masks_traced(schema, &spec, &masks, &self.config.parallelism, tracer);
+        let probs = model.par_score_masks(schema, &spec, &masks, &self.config.parallelism, tracer);
         let fit = {
             let _span = Span::enter(tracer, Stage::SurrogateFit);
             fit_surrogate(&masks, &probs, &self.config.surrogate)
@@ -210,14 +201,14 @@ mod tests {
 
     #[test]
     fn produces_one_weight_per_token() {
-        let e = LimeExplainer::default().explain(&JaccardModel, &schema(), &pair());
+        let e = LimeExplainer::default().explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
         // 4 left tokens + 4 right tokens
         assert_eq!(e.token_weights.len(), 8);
     }
 
     #[test]
     fn model_prediction_matches_black_box() {
-        let e = LimeExplainer::default().explain(&JaccardModel, &schema(), &pair());
+        let e = LimeExplainer::default().explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
         let expected = JaccardModel.predict_proba(&schema(), &pair());
         assert!((e.model_prediction - expected).abs() < 1e-12);
     }
@@ -228,7 +219,7 @@ mod tests {
             n_samples: 1000,
             ..Default::default()
         })
-        .explain(&JaccardModel, &schema(), &pair());
+        .explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
         // "sony" and "camera" appear on both sides: dropping them lowers
         // Jaccard, so their weights should be positive.
         for tw in &e.token_weights {
@@ -244,7 +235,7 @@ mod tests {
             n_samples: 1000,
             ..Default::default()
         })
-        .explain(&JaccardModel, &schema(), &pair());
+        .explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
         for tw in &e.token_weights {
             if tw.text_is("digital") || tw.text_is("849.99") || tw.text_is("kit") {
                 assert!(tw.weight < 0.0, "{tw:?}");
@@ -254,8 +245,8 @@ mod tests {
 
     #[test]
     fn explanation_is_deterministic_per_seed() {
-        let a = LimeExplainer::default().explain(&JaccardModel, &schema(), &pair());
-        let b = LimeExplainer::default().explain(&JaccardModel, &schema(), &pair());
+        let a = LimeExplainer::default().explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
+        let b = LimeExplainer::default().explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
         assert_eq!(a.token_weights, b.token_weights);
     }
 
@@ -265,12 +256,12 @@ mod tests {
             seed: 1,
             ..Default::default()
         })
-        .explain(&JaccardModel, &schema(), &pair());
+        .explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
         let b = LimeExplainer::new(LimeConfig {
             seed: 2,
             ..Default::default()
         })
-        .explain(&JaccardModel, &schema(), &pair());
+        .explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
         assert_ne!(a.token_weights, b.token_weights);
     }
 
@@ -299,7 +290,7 @@ mod tests {
     #[test]
     fn empty_record_explains_without_panicking() {
         let p = EntityPair::new(Entity::new(vec!["", ""]), Entity::new(vec!["", ""]));
-        let e = LimeExplainer::default().explain(&JaccardModel, &schema(), &p);
+        let e = LimeExplainer::default().explain(&JaccardModel, &schema(), &p, em_obs::noop());
         assert!(e.token_weights.is_empty());
     }
 
@@ -309,7 +300,7 @@ mod tests {
             n_samples: 800,
             ..Default::default()
         })
-        .explain(&JaccardModel, &schema(), &pair());
+        .explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
         assert!(e.surrogate_r2 > 0.5, "r2 = {}", e.surrogate_r2);
     }
 

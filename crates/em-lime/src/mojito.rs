@@ -69,19 +69,11 @@ impl MojitoCopyExplainer {
     /// equally to its constituent tokens": the attribute coefficient is
     /// spread uniformly over the tokens of the *replaced* (`copy_into`)
     /// side — the tokens the copy perturbation actually substitutes.
-    pub fn explain<M: MatchModel + Sync>(
-        &self,
-        model: &M,
-        schema: &Schema,
-        pair: &EntityPair,
-    ) -> PairExplanation {
-        self.explain_traced(model, schema, pair, em_obs::noop())
-    }
-
-    /// [`MojitoCopyExplainer::explain`] with per-stage timings recorded
-    /// into `tracer`. Tracing only observes — traced and untraced
+    ///
+    /// Per-stage timings are recorded into `tracer` (`em_obs::noop()` when
+    /// untraced). Tracing only observes — traced and untraced
     /// explanations are bit-identical (DESIGN.md §10).
-    pub fn explain_traced<M: MatchModel + Sync>(
+    pub fn explain<M: MatchModel + Sync>(
         &self,
         model: &M,
         schema: &Schema,
@@ -105,8 +97,7 @@ impl MojitoCopyExplainer {
                 copy_into: self.config.copy_into,
             }
         };
-        let probs =
-            model.par_score_masks_traced(schema, &spec, &masks, &self.config.parallelism, tracer);
+        let probs = model.par_score_masks(schema, &spec, &masks, &self.config.parallelism, tracer);
         let fit = {
             let _span = Span::enter(tracer, Stage::SurrogateFit);
             fit_surrogate(&masks, &probs, &self.config.surrogate)
@@ -183,7 +174,7 @@ mod tests {
         let cfg = MojitoCopyConfig::default();
         let explainer = MojitoCopyExplainer::new(cfg);
         let pair = non_matching_pair();
-        let e = explainer.explain(&ExactModel, &schema(), &pair);
+        let e = explainer.explain(&ExactModel, &schema(), &pair, em_obs::noop());
         // Original record: 0 equal attributes.
         assert_eq!(e.model_prediction, 0.0);
         // The intercept region (everything copied) approaches 1.0, so
@@ -198,8 +189,12 @@ mod tests {
 
     #[test]
     fn token_weights_within_attribute_are_equal() {
-        let e =
-            MojitoCopyExplainer::default().explain(&ExactModel, &schema(), &non_matching_pair());
+        let e = MojitoCopyExplainer::default().explain(
+            &ExactModel,
+            &schema(),
+            &non_matching_pair(),
+            em_obs::noop(),
+        );
         // Attribute 0's replaced side (right) has 2 tokens: equal weights.
         let w: Vec<f64> = e
             .token_weights
@@ -215,8 +210,12 @@ mod tests {
 
     #[test]
     fn attribute_importance_reflects_attribute_coefficient() {
-        let e =
-            MojitoCopyExplainer::default().explain(&ExactModel, &schema(), &non_matching_pair());
+        let e = MojitoCopyExplainer::default().explain(
+            &ExactModel,
+            &schema(),
+            &non_matching_pair(),
+            em_obs::noop(),
+        );
         let imp = e.attribute_importance(&schema());
         // Every attribute contributes 1/3 to the ExactModel, so importances
         // should be roughly equal.
@@ -229,7 +228,8 @@ mod tests {
     fn matching_record_has_near_zero_weights() {
         let e_same = Entity::new(vec!["sony camera", "digital slr kit", "849.99"]);
         let pair = EntityPair::new(e_same.clone(), e_same);
-        let e = MojitoCopyExplainer::default().explain(&ExactModel, &schema(), &pair);
+        let e =
+            MojitoCopyExplainer::default().explain(&ExactModel, &schema(), &pair, em_obs::noop());
         // Copying identical values changes nothing.
         for tw in &e.token_weights {
             assert!(tw.weight.abs() < 1e-9, "{tw:?}");
@@ -252,7 +252,12 @@ mod tests {
         }
         let pair = non_matching_pair();
         // Copying into Right never touches the left entity: flat model.
-        let into_right = MojitoCopyExplainer::default().explain(&LeftOnlyModel, &schema(), &pair);
+        let into_right = MojitoCopyExplainer::default().explain(
+            &LeftOnlyModel,
+            &schema(),
+            &pair,
+            em_obs::noop(),
+        );
         assert!(into_right
             .token_weights
             .iter()
@@ -262,17 +267,26 @@ mod tests {
             copy_into: EntitySide::Left,
             ..Default::default()
         };
-        let into_left = MojitoCopyExplainer::new(cfg).explain(&LeftOnlyModel, &schema(), &pair);
+        let into_left =
+            MojitoCopyExplainer::new(cfg).explain(&LeftOnlyModel, &schema(), &pair, em_obs::noop());
         let name_importance = into_left.attribute_importance(&schema())[0];
         assert!(name_importance > 0.1, "{name_importance}");
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let a =
-            MojitoCopyExplainer::default().explain(&ExactModel, &schema(), &non_matching_pair());
-        let b =
-            MojitoCopyExplainer::default().explain(&ExactModel, &schema(), &non_matching_pair());
+        let a = MojitoCopyExplainer::default().explain(
+            &ExactModel,
+            &schema(),
+            &non_matching_pair(),
+            em_obs::noop(),
+        );
+        let b = MojitoCopyExplainer::default().explain(
+            &ExactModel,
+            &schema(),
+            &non_matching_pair(),
+            em_obs::noop(),
+        );
         assert_eq!(a.token_weights, b.token_weights);
     }
 }

@@ -16,7 +16,7 @@
 //! v1 path-allowlist rules provably missed is caught by `nondet-taint`.
 
 use em_lint::engine::lint_files;
-use em_lint::{find_workspace_root, graph_stats, lint_source, lint_workspace};
+use em_lint::{find_workspace_root, graph_stats, lint_source, lint_workspace, workspace_graph};
 use std::path::Path;
 
 /// (fixture file, virtual workspace path it is linted under).
@@ -382,6 +382,26 @@ fn shipped_workspace_is_clean() {
         report.files_checked >= 100,
         "suspiciously few files checked: {}",
         report.files_checked
+    );
+}
+
+/// The graph rules skip an entry point that resolves to no function, so
+/// a renamed or deleted entry point would silently drop out of
+/// `nondet-taint` and `panic-in-request-path`. Every configured sink and
+/// panic root must resolve on the shipped tree.
+#[test]
+fn every_sink_and_panic_root_resolves_on_the_shipped_workspace() {
+    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("workspace root above em-lint");
+    let graph = workspace_graph(&root).expect("workspace graph");
+    let stale: Vec<_> = em_lint::taint::SINKS
+        .iter()
+        .chain(em_lint::rules::PANIC_ROOTS)
+        .filter(|(krate, name)| graph.find(krate, name).is_empty())
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "entries resolving to no function: {stale:?}"
     );
 }
 

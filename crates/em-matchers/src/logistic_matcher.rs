@@ -245,15 +245,4 @@ mod tests {
         );
         LogisticMatcher::train(&d, &MatcherConfig::default());
     }
-
-    #[test]
-    fn batch_prediction_matches_single() {
-        let d = toy_dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
-        let pairs: Vec<EntityPair> = d.records().iter().take(4).map(|r| r.pair.clone()).collect();
-        let batch = m.predict_proba_batch(d.schema(), &pairs);
-        for (p, pair) in batch.iter().zip(&pairs) {
-            assert_eq!(*p, m.predict_proba(d.schema(), pair));
-        }
-    }
 }

@@ -12,7 +12,9 @@
 //! * [`Collector`] — an atomic, thread-safe [`Tracer`] that accumulates
 //!   per-stage durations and [`Counter`]s;
 //! * [`noop`] — the default sink; it reports itself disabled, so [`Span`]
-//!   never reads the clock and the traced hot path stays allocation-free.
+//!   never reads the clock and the traced hot path stays allocation-free;
+//! * [`Histogram`] — the one atomic latency histogram behind every
+//!   `/metrics` surface, with its Prometheus text rendering.
 //!
 //! # Determinism contract
 //!
@@ -29,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -306,6 +309,57 @@ impl Tracer for Collector {
     // em-lint: allow(panic-in-request-path) -- Counter::index() < COUNTER_COUNT by construction, array is COUNTER_COUNT long
     fn add(&self, counter: Counter, amount: u64) {
         self.counters[counter.index()].fetch_add(amount, Ordering::Relaxed);
+    }
+}
+
+/// Histogram bucket upper bounds, in microseconds. Every latency
+/// histogram in the workspace uses this layout, so the serving and
+/// routing tiers' dashboards line up.
+const LATENCY_BUCKETS_US: [u64; 10] = [
+    100, 500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000, 5_000_000,
+];
+
+/// A lock-free latency histogram over fixed microsecond buckets (100 µs
+/// to 5 s): one `AtomicU64` per bucket plus an overflow (`+Inf`) cell, a
+/// count and a sum, all bumped with relaxed ordering on the request path.
+#[derive(Debug, Default)]
+pub struct Histogram {
+    count: AtomicU64,
+    sum: AtomicU64,
+    buckets: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
+}
+
+impl Histogram {
+    /// Records one observation. A value equal to a bound lands in that
+    /// bound's bucket; a value above the last bound lands in `+Inf`.
+    pub fn observe(&self, value: u64) {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+        let bucket = LATENCY_BUCKETS_US.partition_point(|&bound| bound < value);
+        if let Some(cell) = self.buckets.get(bucket) {
+            cell.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Observations recorded so far.
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// Appends the Prometheus text series of this histogram to `out`:
+    /// cumulative `{metric}_bucket` lines (one per bound, then `+Inf`),
+    /// `{metric}_sum` and `{metric}_count`, each labelled with `labels`
+    /// (e.g. `endpoint="explain"`; must be non-empty).
+    pub fn render_into(&self, out: &mut String, metric: &str, labels: &str) {
+        let bounds = LATENCY_BUCKETS_US.iter().map(|b| b.to_string());
+        let mut cumulative = 0u64;
+        for (cell, le) in self.buckets.iter().zip(bounds.chain(["+Inf".into()])) {
+            cumulative += cell.load(Ordering::Relaxed);
+            let _ = writeln!(out, "{metric}_bucket{{{labels},le=\"{le}\"}} {cumulative}");
+        }
+        let sum = self.sum.load(Ordering::Relaxed);
+        let _ = writeln!(out, "{metric}_sum{{{labels}}} {sum}");
+        let _ = writeln!(out, "{metric}_count{{{labels}}} {}", self.count());
     }
 }
 

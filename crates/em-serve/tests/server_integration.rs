@@ -67,7 +67,7 @@ fn serves_bit_identical_explanations_with_cache_and_metrics() {
         seed: SEED,
         ..Default::default()
     })
-    .explain(&matcher, &schema, &pair);
+    .explain(&matcher, &schema, &pair, em_obs::noop());
     let direct_prob = matcher.predict_proba(&schema, &pair);
 
     let server = Server::bind(

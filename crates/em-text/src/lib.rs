@@ -6,7 +6,6 @@
 //!
 //! * character-based: [Levenshtein](mod@levenshtein), [Jaro / Jaro-Winkler](mod@jaro);
 //! * token-set based: [Jaccard, Dice, overlap](token_sets);
-//! * q-gram based: [q-gram profiles and cosine](qgram);
 //! * corpus-weighted: [TF-IDF vectorizer + cosine](tfidf);
 //! * hybrid: [Monge-Elkan](mod@monge_elkan);
 //! * [numeric similarity](numeric) for price-like attributes;
@@ -15,26 +14,20 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-pub mod alignment;
 pub mod intern;
 pub mod jaro;
 pub mod levenshtein;
 pub mod monge_elkan;
 pub mod numeric;
-pub mod phonetic;
-pub mod qgram;
 pub mod tfidf;
 pub mod token_sets;
 pub mod tokens;
 
-pub use alignment::{smith_waterman, smith_waterman_similarity, AlignmentScoring};
 pub use intern::Interner;
 pub use jaro::{jaro, jaro_winkler};
 pub use levenshtein::{levenshtein, levenshtein_similarity};
 pub use monge_elkan::monge_elkan;
 pub use numeric::{numeric_similarity, numeric_value_similarity, parse_number};
-pub use phonetic::{soundex, soundex_similarity};
-pub use qgram::{qgram_cosine, QgramProfile};
 pub use tfidf::{cosine_prepared, PreparedDoc, TfIdfVectorizer, TfIdfVectorizerBuilder};
 pub use token_sets::{dice, jaccard, overlap_coefficient};
 pub use tokens::{normalize, whitespace_tokens};

@@ -43,7 +43,7 @@ fn main() {
         n_samples: 500,
         ..Default::default()
     });
-    let le = explainer.explain_with_landmark(&matcher, &schema, &record, EntitySide::Left);
+    let le = explainer.explain_with_landmark(&matcher, &schema, &record, EntitySide::Left, noop());
     let cf = counterfactual(
         &matcher,
         &schema,

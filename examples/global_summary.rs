@@ -26,7 +26,7 @@ fn main() {
     let mut explanations = Vec::new();
     for label in [true, false] {
         for record in dataset.sample_by_label(label, 20, 7) {
-            explanations.push(explainer.explain(&matcher, &schema, &record.pair));
+            explanations.push(explainer.explain(&matcher, &schema, &record.pair, noop()));
         }
     }
     let views: Vec<_> = explanations.iter().flat_map(|d| d.both()).collect();

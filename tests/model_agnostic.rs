@@ -42,7 +42,7 @@ fn landmark_explanations_agree_on_informative_attributes_across_model_families()
     let importance = |model: &(dyn MatchModel + Sync)| -> Vec<f64> {
         let mut total = vec![0.0; dataset.schema().len()];
         for r in dataset.sample_by_label(true, 6, 1) {
-            let dual = explainer.explain(&model, dataset.schema(), &r.pair);
+            let dual = explainer.explain(&model, dataset.schema(), &r.pair, noop());
             for le in dual.both() {
                 for (t, v) in total
                     .iter_mut()
@@ -89,7 +89,8 @@ fn counterfactuals_work_for_naive_bayes_too() {
         n_samples: 250,
         ..Default::default()
     });
-    let le = explainer.explain_with_landmark(&nb, dataset.schema(), &record, EntitySide::Left);
+    let le =
+        explainer.explain_with_landmark(&nb, dataset.schema(), &record, EntitySide::Left, noop());
     let cf = counterfactual(
         &nb,
         dataset.schema(),

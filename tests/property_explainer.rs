@@ -52,7 +52,7 @@ proptest! {
     fn landmark_explainer_never_panics_and_weights_are_finite(p in pair(3), seed in 0u64..1000) {
         let schema = Schema::from_names(vec!["a", "b", "c"]);
         let cfg = LandmarkConfig { n_samples: 40, seed, ..Default::default() };
-        let dual = LandmarkExplainer::new(cfg).explain(&Overlap, &schema, &p);
+        let dual = LandmarkExplainer::new(cfg).explain(&Overlap, &schema, &p, em_obs::noop());
         for le in dual.both() {
             prop_assert_eq!(le.explanation.token_weights.len(), le.injected.len());
             for tw in &le.explanation.token_weights {
@@ -68,7 +68,7 @@ proptest! {
     fn lime_weight_count_equals_token_count(p in pair(2), seed in 0u64..1000) {
         let schema = Schema::from_names(vec!["a", "b"]);
         let cfg = LimeConfig { n_samples: 40, seed, ..Default::default() };
-        let e = LimeExplainer::new(cfg).explain(&Overlap, &schema, &p);
+        let e = LimeExplainer::new(cfg).explain(&Overlap, &schema, &p, em_obs::noop());
         let expected = p.left.token_count() + p.right.token_count();
         prop_assert_eq!(e.token_weights.len(), expected);
     }
@@ -101,7 +101,7 @@ proptest! {
             strategy: GenerationStrategy::auto(),
             ..Default::default()
         };
-        let dual = LandmarkExplainer::new(cfg).explain(&Overlap, &schema, &p);
+        let dual = LandmarkExplainer::new(cfg).explain(&Overlap, &schema, &p, em_obs::noop());
         let prob = Overlap.predict_proba(&schema, &p);
         let expected = if prob >= 0.5 {
             ResolvedStrategy::SingleEntity

@@ -206,8 +206,8 @@ proptest! {
                 ..Default::default()
             };
             let explainer = LandmarkExplainer::new(config);
-            let kernel = explainer.explain(&s.matcher, &s.schema, &s.pair);
-            let naive = explainer.explain(&NaiveOnly(&s.matcher), &s.schema, &s.pair);
+            let kernel = explainer.explain(&s.matcher, &s.schema, &s.pair, em_obs::noop());
+            let naive = explainer.explain(&NaiveOnly(&s.matcher), &s.schema, &s.pair, em_obs::noop());
             for (k, n) in kernel.both().iter().zip(naive.both().iter()) {
                 prop_assert_eq!(&k.explanation.token_weights, &n.explanation.token_weights);
                 prop_assert_eq!(
@@ -230,8 +230,8 @@ proptest! {
             seed,
             ..Default::default()
         });
-        let k = lime.explain(&s.matcher, &s.schema, &s.pair);
-        let n = lime.explain(&NaiveOnly(&s.matcher), &s.schema, &s.pair);
+        let k = lime.explain(&s.matcher, &s.schema, &s.pair, em_obs::noop());
+        let n = lime.explain(&NaiveOnly(&s.matcher), &s.schema, &s.pair, em_obs::noop());
         prop_assert_eq!(k.token_weights, n.token_weights);
         prop_assert_eq!(k.intercept.to_bits(), n.intercept.to_bits());
 
@@ -242,8 +242,8 @@ proptest! {
                 copy_into,
                 ..Default::default()
             });
-            let k = mojito.explain(&s.matcher, &s.schema, &s.pair);
-            let n = mojito.explain(&NaiveOnly(&s.matcher), &s.schema, &s.pair);
+            let k = mojito.explain(&s.matcher, &s.schema, &s.pair, em_obs::noop());
+            let n = mojito.explain(&NaiveOnly(&s.matcher), &s.schema, &s.pair, em_obs::noop());
             prop_assert_eq!(k.token_weights, n.token_weights);
             prop_assert_eq!(k.intercept.to_bits(), n.intercept.to_bits());
         }
