@@ -23,11 +23,11 @@
 
 use std::time::Instant;
 
+use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, MatchModel, Schema, SplitConfig};
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_par::ParallelismConfig;
-use em_serve::json::Value;
 use landmark_core::{DualExplanation, LandmarkConfig, LandmarkExplainer};
 
 /// Forwards only `predict_proba`, hiding the wrapped matcher's

@@ -13,7 +13,7 @@
 //!
 //! Usage: `perf_gate <baseline.json> <current.json>`
 
-use em_serve::json::Value;
+use em_codec::Value;
 
 /// Fraction of the baseline speedup the fresh run may lose before the
 /// gate fails (shared CI runners are noisy; the kernel's margin is not).

@@ -16,13 +16,13 @@
 
 use std::time::Instant;
 
+use em_codec::{ExplainOptions, Value};
 use em_datagen::MagellanBenchmark;
 use em_entity::{EntityPair, Schema};
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_par::ParallelismConfig;
 use em_serve::client;
-use em_serve::json::Value;
-use em_serve::{ExplainOptions, Server, ServerConfig};
+use em_serve::{Server, ServerConfig};
 
 fn explain_body(schema: &Schema, pair: &EntityPair, n_samples: usize, seed: u64) -> String {
     let entity = |e: &em_entity::Entity| {

@@ -16,13 +16,13 @@
 
 use std::time::Instant;
 
+use em_codec::Value;
 use em_datagen::MagellanBenchmark;
 use em_entity::{EntityPair, Schema};
 use em_lime::{LimeConfig, LimeExplainer, MojitoCopyConfig, MojitoCopyExplainer};
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_obs::{Collector, Counter, Stage};
 use em_par::ParallelismConfig;
-use em_serve::json::Value;
 use landmark_core::{LandmarkConfig, LandmarkExplainer};
 
 /// The coverage floor: stage spans must explain at least this fraction of

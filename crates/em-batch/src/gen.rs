@@ -14,21 +14,6 @@ use em_entity::dataset_to_csv;
 use crate::atomic;
 use crate::error::BatchError;
 
-/// Parses a dataset short name (e.g. `S-FZ`), case-insensitively.
-pub fn parse_dataset_id(name: &str) -> Option<DatasetId> {
-    DatasetId::all()
-        .into_iter()
-        .find(|id| id.short_name().eq_ignore_ascii_case(name))
-}
-
-/// The short names `gen --dataset` accepts, for usage messages.
-pub fn dataset_names() -> Vec<&'static str> {
-    DatasetId::all()
-        .into_iter()
-        .map(DatasetId::short_name)
-        .collect()
-}
-
 /// Generates `dataset` at `scale` and writes it to `out` as CSV.
 /// Returns the number of records written.
 pub fn generate_csv(dataset: DatasetId, scale: f64, out: &Path) -> Result<usize, BatchError> {
@@ -41,15 +26,6 @@ pub fn generate_csv(dataset: DatasetId, scale: f64, out: &Path) -> Result<usize,
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn short_names_parse_case_insensitively() {
-        for id in DatasetId::all() {
-            assert_eq!(parse_dataset_id(id.short_name()), Some(id));
-            assert_eq!(parse_dataset_id(&id.short_name().to_lowercase()), Some(id));
-        }
-        assert_eq!(parse_dataset_id("nope"), None);
-    }
 
     #[test]
     fn generated_csv_roundtrips_through_the_importer() {

@@ -14,6 +14,7 @@ use em_batch::{
     PlanConfig, RunMode,
 };
 use em_codec::explain::ExplainerKind;
+use em_datagen::DatasetId;
 use em_obs::Collector;
 
 const USAGE: &str = "\
@@ -133,10 +134,10 @@ fn cmd_gen(opts: &Options) -> Result<ExitCode, BatchError> {
         Ok(p) => p,
         Err(msg) => return Ok(usage_error(&msg)),
     };
-    let Some(dataset) = gen::parse_dataset_id(&name) else {
+    let Some(dataset) = DatasetId::from_short_name(&name) else {
         return Ok(usage_error(&format!(
             "unknown dataset {name:?} (expected one of {})",
-            gen::dataset_names().join(", ")
+            DatasetId::all().map(DatasetId::short_name).join(", ")
         )));
     };
     let records = gen::generate_csv(dataset, scale, &out)?;

@@ -10,8 +10,7 @@
 //! * [`json`] — the [`Value`] tree, recursive-descent parser, and writer.
 //!   Objects preserve insertion order and numbers use Rust's
 //!   shortest-round-trip `Display`, so encoding is deterministic and
-//!   `f64 → text → f64` is exact (originally `em-serve::json`, hoisted
-//!   here; `em-serve` re-exports it unchanged);
+//!   `f64 → text → f64` is exact (originally `em-serve::json`);
 //! * [`explain`] — typed decode of explain requests, the canonical cache
 //!   key, and the walk from `PairExplanation` / `DualExplanation` into a
 //!   deterministic [`Value`] tree (originally `em-serve::codec`);

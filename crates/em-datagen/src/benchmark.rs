@@ -71,6 +71,13 @@ impl DatasetId {
         }
     }
 
+    /// Parses a short name (e.g. `S-FZ` or `s-fz`), case-insensitively.
+    pub fn from_short_name(name: &str) -> Option<DatasetId> {
+        DatasetId::all()
+            .into_iter()
+            .find(|id| id.short_name().eq_ignore_ascii_case(name))
+    }
+
     /// The underlying Magellan dataset name.
     pub fn source_name(self) -> &'static str {
         match self {
@@ -197,6 +204,18 @@ mod tests {
         assert_eq!(ids[0].short_name(), "S-BR");
         assert_eq!(ids[7].short_name(), "T-AB");
         assert_eq!(ids[11].short_name(), "D-WA");
+    }
+
+    #[test]
+    fn short_names_parse_case_insensitively() {
+        for id in DatasetId::all() {
+            assert_eq!(DatasetId::from_short_name(id.short_name()), Some(id));
+            assert_eq!(
+                DatasetId::from_short_name(&id.short_name().to_lowercase()),
+                Some(id)
+            );
+        }
+        assert_eq!(DatasetId::from_short_name("nope"), None);
     }
 
     #[test]

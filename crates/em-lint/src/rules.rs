@@ -244,11 +244,14 @@ fn hashmap_iter_order(ctx: &FileContext, out: &mut Vec<Finding>) {
     }
 }
 
-/// Entry points of `panic-in-request-path` reachability: the serving
-/// connection loop and the codec surfaces that parse or render untrusted
-/// bytes (shared with em-batch so batch output stays server-identical).
+/// Entry points of `panic-in-request-path` reachability: the shared
+/// connection loop, the routing tier's request handler (em-serve's loop
+/// calls it through a trait the graph cannot follow across crates), and
+/// the codec surfaces that parse or render untrusted bytes (shared with
+/// em-batch so batch output stays server-identical).
 pub const PANIC_ROOTS: &[(&str, &str)] = &[
     ("em-serve", "handle_connection"),
+    ("em-route", "route"),
     ("em-serve", "read_request"),
     ("em-codec", "run_explain"),
     ("em-codec", "run_explain_traced"),
@@ -259,7 +262,7 @@ pub const PANIC_ROOTS: &[(&str, &str)] = &[
 /// Crates the panic traversal may enter. The explainer core is excluded
 /// deliberately: its contract is seeded determinism, not totality on
 /// adversarial input — requests reach it only after codec validation.
-pub const PANIC_SCOPE: &[&str] = &["em-serve", "em-codec", "em-obs"];
+pub const PANIC_SCOPE: &[&str] = &["em-serve", "em-route", "em-codec", "em-obs"];
 
 /// `panic-in-request-path` (v2): walks the call graph from the request
 /// handlers ([`PANIC_ROOTS`]) through every helper in [`PANIC_SCOPE`]

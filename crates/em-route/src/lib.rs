@@ -19,16 +19,18 @@
 //! * [`metrics`] — the router's own Prometheus surface:
 //!   `em_route_requests_total{backend,outcome}` plus latency and stage
 //!   histograms;
-//! * [`router`] — the proxy itself: accept loop, worker pool, keyed
-//!   forwarding with bounded retry-with-backoff failover (connect
-//!   failures only — the requests are pure, so replaying one elsewhere
-//!   cannot change any answer), and the admin endpoints `GET /ring` and
+//! * [`router`] — the proxy itself: keyed forwarding with bounded
+//!   retry-with-backoff failover (connect failures only — the requests
+//!   are pure, so replaying one elsewhere cannot change any answer), the
+//!   active prober, and the admin endpoints `GET /ring` and
 //!   `POST /drain`.
 //!
-//! The transport pieces — bounded queue, per-connection deadlines, HTTP
-//! reader/writer, typed client — are `em-serve`'s own, reused as a
-//! library rather than copied; the crate adds no dependencies beyond the
-//! workspace.
+//! The connection lifecycle — accept loop, bounded queue, non-blocking
+//! shed, per-connection deadlines, panic containment, shutdown — is
+//! `em-serve`'s [`em_serve::Skeleton`], which the router runs as an
+//! [`em_serve::Service`]; the HTTP reader/writer and the typed client are
+//! `em-serve`'s too. Nothing of the loop is copied here, and the crate
+//! adds no dependencies beyond the workspace.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]

@@ -1,12 +1,14 @@
-//! The reverse proxy: accept loop, keyed forwarding, failover, and the
+//! The reverse proxy: keyed forwarding, failover, probing, and the
 //! admin surface.
 //!
-//! The serving skeleton is `em-serve`'s, reused as a library: a listener
-//! thread pushes connections onto a bounded queue
-//! ([`em_serve::pool::BoundedQueue`]), `em_par::scoped_workers` drains
-//! it, and every picked-up connection runs under one
-//! [`em_serve::deadline::Deadline`] covering read, proxy exchange, and
-//! response write. What this crate adds is the routing brain:
+//! The connection lifecycle is `em-serve`'s, run as a library: the router
+//! is an [`em_serve::Service`] on an [`em_serve::Skeleton`] — the same
+//! accept loop, bounded queue, non-blocking shed, per-connection
+//! [`em_serve::deadline::Deadline`] and panic containment the backends
+//! run. The skeleton's typed reject causes fold onto the router's two
+//! counters: sheds into `em_route_sheds_total`, expired deadlines and
+//! stale queue entries into `em_route_deadline_rejects_total`. What this
+//! crate adds is the routing brain:
 //!
 //! 1. **Key** (`route_key` stage): decode the request with the *same*
 //!    codec and defaults the backends use, compute the canonical cache
@@ -25,11 +27,9 @@
 //!    `em_route_requests_total{backend,outcome}`; the winning backend is
 //!    named in the response's `X-Backend` header.
 
-use std::io::Write;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use em_codec::explain::{cache_key, decode_explain_request, decode_pair};
 use em_codec::{ExplainOptions, Value};
@@ -37,20 +37,13 @@ use em_entity::Schema;
 use em_obs::{Span, Stage};
 use em_par::ParallelismConfig;
 use em_serve::client::{self, ClientError, ClientResponse};
-use em_serve::deadline::{is_timeout, Deadline, DeadlineStream};
-use em_serve::http::{read_request, HttpError, Request, Response};
-use em_serve::pool::{BoundedQueue, PushError};
+use em_serve::http::{Request, Response};
+use em_serve::service::{error_body, Service, ServiceHandle, Skeleton};
+use em_serve::RejectCause;
 
 use crate::health::{HealthConfig, HealthTable};
 use crate::metrics::{Outcome, RouteEndpoint, RouterMetrics};
 use crate::ring::{BackendSpec, Ring};
-
-/// Budget for writing a 408 after the connection deadline has expired
-/// (same courtesy-answer rationale as `em-serve`).
-const REJECT_WRITE_GRACE: Duration = Duration::from_secs(1);
-
-/// Bound on the shutdown self-wake connect.
-const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Router tunables.
 #[derive(Debug, Clone, Copy)]
@@ -95,33 +88,29 @@ impl Default for RouterConfig {
 
 /// Everything the proxy workers and the prober share.
 struct RouterState {
+    /// The connection lifecycle; its shutdown flag also stops the prober.
+    skeleton: Skeleton,
     schema: Schema,
     defaults: ExplainOptions,
     backends: Vec<BackendSpec>,
     ring: Ring,
     health: HealthTable,
     metrics: RouterMetrics,
-    queue: BoundedQueue<TcpStream>,
     config: RouterConfig,
-    shutdown: AtomicBool,
-    addr: SocketAddr,
 }
 
 /// A bound router. [`Router::run`] blocks until shutdown;
 /// [`Router::spawn`] runs it on a background thread for tests.
 pub struct Router {
-    listener: TcpListener,
-    workers: usize,
     state: Arc<RouterState>,
 }
 
 impl std::fmt::Debug for Router {
-    // Manual impl: the state holds a schema and live tables; the bind
-    // address and backend count are what a log line needs.
+    // Manual impl: the state holds a schema and live tables; the skeleton
+    // (address, sizing) and backend count are what a log line needs.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Router")
-            .field("addr", &self.state.addr)
-            .field("workers", &self.workers)
+            .field("skeleton", &self.state.skeleton)
             .field("backends", &self.state.backends.len())
             .finish_non_exhaustive()
     }
@@ -142,98 +131,123 @@ impl Router {
                 "at least one backend is required",
             ));
         }
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
+        let skeleton = Skeleton::bind(
+            addr,
+            config.parallelism.worker_count(),
+            config.queue_depth,
+            config.request_timeout,
+            config.max_queue_age,
+        )?;
         let ring = Ring::build(&backends);
         let n = backends.len();
         Ok(Router {
-            listener,
-            workers: config.parallelism.worker_count(),
             state: Arc::new(RouterState {
+                skeleton,
                 schema,
                 defaults: config.defaults,
                 backends,
                 ring,
                 health: HealthTable::new(n, config.health),
                 metrics: RouterMetrics::new(n),
-                queue: BoundedQueue::new(config.queue_depth),
                 config,
-                shutdown: AtomicBool::new(false),
-                addr,
             }),
         })
     }
 
     /// The bound address (useful after binding port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.addr
+        self.state.skeleton.addr()
     }
 
     /// Serves until a `POST /shutdown` arrives, then drains in-flight
     /// requests, stops the prober, and returns.
     pub fn run(self) {
         let prober = spawn_prober(Arc::clone(&self.state));
-        let state = &*self.state;
-        let queue = &state.queue;
-        em_par::scoped_workers(
-            self.workers,
-            |_worker| {
-                while let Some(conn) = queue.pop() {
-                    if conn.age() > state.config.max_queue_age {
-                        state.metrics.record_deadline_reject();
-                        continue;
-                    }
-                    handle_connection(state, conn.item);
-                }
-            },
-            || {
-                for incoming in self.listener.incoming() {
-                    if state.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let stream = match incoming {
-                        Ok(s) => s,
-                        Err(_) => continue,
-                    };
-                    if let Err(PushError::Full(stream) | PushError::Closed(stream)) =
-                        queue.push(stream)
-                    {
-                        shed_without_blocking(state, &stream);
-                    }
-                }
-                queue.close();
-            },
-        );
-        // em-lint: allow(panic-in-request-path) -- shutdown path; propagating a prober panic is the point
+        self.state.skeleton.serve(&*self.state);
+        // Shutdown path: propagating a prober panic is the point.
         prober.join().expect("prober thread panicked");
     }
 
     /// Runs the router on a background thread, returning a handle with
     /// the bound address.
     pub fn spawn(self) -> RouterHandle {
-        let addr = self.local_addr();
-        let thread = std::thread::spawn(move || self.run());
-        RouterHandle { addr, thread }
+        ServiceHandle::spawn(self.local_addr(), move || self.run())
     }
 }
 
 /// Handle to a [`Router::spawn`]ed router.
-#[derive(Debug)]
-pub struct RouterHandle {
-    addr: SocketAddr,
-    thread: std::thread::JoinHandle<()>,
-}
+pub type RouterHandle = ServiceHandle;
 
-impl RouterHandle {
-    /// The router's bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+impl Service for RouterState {
+    type Endpoint = RouteEndpoint;
+    const UNPARSED: RouteEndpoint = RouteEndpoint::Admin;
+    const SHED_MESSAGE: &'static str = "router overloaded";
+
+    fn route(&self, request: &Request) -> (RouteEndpoint, Response, bool) {
+        match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/explain") => (RouteEndpoint::Explain, proxy_explain(self, request), false),
+            ("POST", "/predict") => (RouteEndpoint::Predict, proxy_predict(self, request), false),
+            ("GET", "/healthz") => (
+                RouteEndpoint::Admin,
+                Response::json(
+                    200,
+                    Value::object(vec![("status", Value::string("ok"))]).to_json(),
+                ),
+                false,
+            ),
+            ("GET", "/metrics") => (
+                RouteEndpoint::Admin,
+                Response::text(200, render_metrics(self)),
+                false,
+            ),
+            ("GET", "/ring") => (
+                RouteEndpoint::Admin,
+                Response::json(200, ring_json(self)),
+                false,
+            ),
+            ("POST", "/drain") => (RouteEndpoint::Admin, handle_drain(self, request), false),
+            ("POST", "/shutdown") => (
+                RouteEndpoint::Admin,
+                Response::json(
+                    200,
+                    Value::object(vec![("shutting_down", true.into())]).to_json(),
+                ),
+                true,
+            ),
+            (_, "/explain" | "/predict" | "/drain" | "/shutdown") => (
+                RouteEndpoint::Admin,
+                Response::json(405, error_body("use POST")),
+                false,
+            ),
+            (_, "/healthz" | "/metrics" | "/ring") => (
+                RouteEndpoint::Admin,
+                Response::json(405, error_body("use GET")),
+                false,
+            ),
+            _ => (
+                RouteEndpoint::Admin,
+                Response::json(404, error_body("no such endpoint")),
+                false,
+            ),
+        }
     }
 
-    /// Waits for the router to finish (after a `/shutdown` request).
-    pub fn join(self) {
-        // em-lint: allow(panic-in-request-path) -- shutdown path; propagating a worker panic is the point
-        self.thread.join().expect("router thread panicked");
+    fn record(&self, endpoint: RouteEndpoint, latency_us: u64, _status: u16) {
+        self.metrics.record_latency(endpoint, latency_us);
+    }
+
+    /// Folds the skeleton's typed causes onto the router's two counters;
+    /// a peer abort is not the router's to count.
+    fn reject(&self, cause: RejectCause) {
+        match cause {
+            RejectCause::Shed | RejectCause::ShedDrop => self.metrics.record_shed(),
+            RejectCause::StaleQueue
+            | RejectCause::Idle
+            | RejectCause::HeaderDeadline
+            | RejectCause::BodyDeadline
+            | RejectCause::WriteDeadline => self.metrics.record_deadline_reject(),
+            RejectCause::PeerAbort => {}
+        }
     }
 }
 
@@ -245,7 +259,7 @@ fn spawn_prober(state: Arc<RouterState>) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         let interval = state.health.config().probe_interval;
         let timeout = state.health.config().probe_timeout;
-        while !state.shutdown.load(Ordering::SeqCst) {
+        while !state.skeleton.is_shutting_down() {
             for (i, backend) in state.backends.iter().enumerate() {
                 match client::exchange_with_timeout(backend.addr, "GET", "/healthz", "", timeout) {
                     Ok(_) | Err(ClientError::Status(_)) => state.health.record_success(i),
@@ -259,138 +273,13 @@ fn spawn_prober(state: Arc<RouterState>) -> std::thread::JoinHandle<()> {
                 }
             }
             let mut slept = Duration::ZERO;
-            while slept < interval && !state.shutdown.load(Ordering::SeqCst) {
+            while slept < interval && !state.skeleton.is_shutting_down() {
                 let slice = Duration::from_millis(25).min(interval - slept);
                 std::thread::sleep(slice);
                 slept += slice;
             }
         }
     })
-}
-
-fn error_body(message: &str) -> String {
-    Value::object(vec![("error", Value::string(message))]).to_json()
-}
-
-/// Non-blocking 503 shed from the accept thread — same discipline as
-/// `em-serve`: drain already-arrived bytes, attempt one write, never
-/// wait on a client socket.
-fn shed_without_blocking(state: &RouterState, stream: &TcpStream) {
-    let response =
-        Response::json(503, error_body("router overloaded")).with_header("Retry-After", "1");
-    let wire = response.to_wire();
-    if stream.set_nonblocking(true).is_ok() {
-        let mut sink = [0u8; 4096];
-        for _ in 0..32 {
-            if !matches!(std::io::Read::read(&mut &*stream, &mut sink), Ok(n) if n > 0) {
-                break;
-            }
-        }
-        let _ = (&mut &*stream).write(wire.as_bytes());
-    }
-    state.metrics.record_shed();
-}
-
-/// Reads, routes, answers, and records one client connection under one
-/// [`Deadline`].
-fn handle_connection(state: &RouterState, stream: TcpStream) {
-    let deadline = Deadline::starting_now(state.config.request_timeout);
-    let start = Instant::now(); // em-lint: allow(nondet-taint) -- latency metric stamp only; never touches proxied bytes
-    let mut reader = DeadlineStream::new(&stream, deadline);
-    let (endpoint, response, is_shutdown) = match read_request(&mut reader) {
-        Ok(request) => route(state, &request),
-        Err(HttpError::Closed) => return,
-        Err(HttpError::Timeout(_)) => {
-            state.metrics.record_deadline_reject();
-            let grace = Deadline::starting_now(REJECT_WRITE_GRACE);
-            let _ = Response::json(408, error_body("request deadline exceeded"))
-                .write_to(&mut DeadlineStream::new(&stream, grace));
-            return;
-        }
-        Err(HttpError::BodyTooLarge) => (
-            RouteEndpoint::Admin,
-            Response::json(413, error_body("request body too large")),
-            false,
-        ),
-        Err(err) => (
-            RouteEndpoint::Admin,
-            Response::json(400, error_body(&err.to_string())),
-            false,
-        ),
-    };
-    let latency_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    state.metrics.record_latency(endpoint, latency_us);
-    if let Err(err) = response.write_to(&mut DeadlineStream::new(&stream, deadline)) {
-        if is_timeout(&err) {
-            state.metrics.record_deadline_reject();
-        }
-    }
-    drop(stream);
-    if is_shutdown {
-        state.shutdown.store(true, Ordering::SeqCst);
-        wake_accept_loop(state.addr);
-    }
-}
-
-/// Pokes the accept loop with a loopback connection so it observes the
-/// shutdown flag (same wildcard-bind handling as `em-serve`).
-fn wake_accept_loop(addr: SocketAddr) {
-    let ip = match addr.ip() {
-        IpAddr::V4(v4) if v4.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
-        IpAddr::V6(v6) if v6.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        ip => ip,
-    };
-    let _ = TcpStream::connect_timeout(&SocketAddr::new(ip, addr.port()), WAKE_CONNECT_TIMEOUT);
-}
-
-/// Maps a request to (endpoint, response, initiate-shutdown).
-fn route(state: &RouterState, request: &Request) -> (RouteEndpoint, Response, bool) {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/explain") => (RouteEndpoint::Explain, proxy_explain(state, request), false),
-        ("POST", "/predict") => (RouteEndpoint::Predict, proxy_predict(state, request), false),
-        ("GET", "/healthz") => (
-            RouteEndpoint::Admin,
-            Response::json(
-                200,
-                Value::object(vec![("status", Value::string("ok"))]).to_json(),
-            ),
-            false,
-        ),
-        ("GET", "/metrics") => (
-            RouteEndpoint::Admin,
-            Response::text(200, render_metrics(state)),
-            false,
-        ),
-        ("GET", "/ring") => (
-            RouteEndpoint::Admin,
-            Response::json(200, ring_json(state)),
-            false,
-        ),
-        ("POST", "/drain") => (RouteEndpoint::Admin, handle_drain(state, request), false),
-        ("POST", "/shutdown") => (
-            RouteEndpoint::Admin,
-            Response::json(
-                200,
-                Value::object(vec![("shutting_down", true.into())]).to_json(),
-            ),
-            true,
-        ),
-        (_, "/explain" | "/predict" | "/drain" | "/shutdown") => (
-            RouteEndpoint::Admin,
-            Response::json(405, error_body("use POST")),
-            false,
-        ),
-        (_, "/healthz" | "/metrics" | "/ring") => (
-            RouteEndpoint::Admin,
-            Response::json(405, error_body("use GET")),
-            false,
-        ),
-        _ => (
-            RouteEndpoint::Admin,
-            Response::json(404, error_body("no such endpoint")),
-            false,
-        ),
-    }
 }
 
 /// Proxies `POST /explain`: decode with the backends' own codec and

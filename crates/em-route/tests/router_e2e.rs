@@ -6,14 +6,14 @@
 
 use std::time::Duration;
 
+use em_codec::{ExplainOptions, Value};
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, Schema};
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_par::ParallelismConfig;
 use em_route::{BackendSpec, HealthConfig, Router, RouterConfig};
 use em_serve::client;
-use em_serve::json::Value;
-use em_serve::{ExplainOptions, Server, ServerConfig};
+use em_serve::{Server, ServerConfig};
 
 const N_SAMPLES: usize = 32;
 const SEED: u64 = 7;

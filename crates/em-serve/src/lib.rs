@@ -23,16 +23,19 @@
 //! * `POST /shutdown` — graceful stop (in-flight requests drain).
 //!
 //! Concurrency comes from a bounded accept/worker pool built on
-//! `em_par::scoped_workers`, sized by [`em_par::ParallelismConfig`]. The
-//! [`json`] module is a self-contained parser/writer, so the crate adds no
-//! dependencies beyond the workspace.
+//! `em_par::scoped_workers`, sized by [`em_par::ParallelismConfig`].
+//! Request decoding, the cache key and the JSON layer are `em-codec`'s,
+//! so the crate adds no dependencies beyond the workspace.
 //!
-//! The request lifecycle is hardened against misbehaving clients
-//! (DESIGN.md §14): each connection runs under a per-connection
-//! [`Deadline`] bounding total read + write time regardless of how the
-//! peer drips bytes, queued connections past an admission age bound are
-//! discarded, overload shedding never blocks the accept loop, and every
-//! rejection is attributed to a cause in
+//! The connection lifecycle is the [`service`] module's [`Skeleton`],
+//! which both this server and the `em-route` routing tier run on; each
+//! tier plugs in through the [`Service`] trait. It is hardened against
+//! misbehaving clients (DESIGN.md §14): each connection runs under a
+//! per-connection [`Deadline`] bounding total read + write time
+//! regardless of how the peer drips bytes, queued connections past an
+//! admission age bound are discarded, overload shedding never blocks the
+//! accept loop, a panicking handler answers 500 without killing its
+//! worker, and every rejection is attributed to a cause in
 //! `em_serve_rejects_total{cause=...}`.
 
 #![forbid(unsafe_code)]
@@ -41,18 +44,16 @@
 
 pub mod cache;
 pub mod client;
-pub mod codec;
 pub mod deadline;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod pool;
 pub mod server;
+pub mod service;
 
 pub use cache::{CacheStats, ShardedCache};
 pub use client::{ClientError, ClientResponse};
-pub use codec::{ExplainOptions, ExplainRequest, ExplainerKind};
 pub use deadline::{Deadline, DeadlineStream};
-pub use json::{JsonError, Value};
 pub use metrics::{Endpoint, Metrics, RejectCause};
 pub use server::{Server, ServerConfig, ServerHandle};
+pub use service::{Service, ServiceHandle, Skeleton};

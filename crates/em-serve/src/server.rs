@@ -1,45 +1,30 @@
-//! The HTTP server: accept loop, worker pool, routing, and shutdown.
+//! The explanation server: the em-serve [`Service`] — routing, the
+//! handlers, and their state.
 //!
-//! One listener thread accepts connections and pushes them onto a
-//! [`BoundedQueue`]; `em_par::scoped_workers` runs the worker pool that
-//! drains it. When the queue is full the accept thread sheds with a
-//! non-blocking 503 + `Retry-After` instead of queueing unbounded —
-//! never waiting on a client socket, because every other user's `accept`
-//! is behind it. Each picked-up connection runs under one [`Deadline`]
-//! covering request read, compute, and response write; queued
-//! connections older than the admission bound are discarded unanswered.
-//! Every rejection is attributed to a cause in
-//! `em_serve_rejects_total{cause=...}` (DESIGN.md §14). `POST /shutdown`
-//! flips an atomic flag and pokes the listener with a loopback
-//! connection so `accept` wakes up; closing the queue then lets every
-//! in-flight request finish before `run` returns.
+//! The connection lifecycle (accept loop, bounded queue, shedding,
+//! per-connection deadlines, panic containment, shutdown) is the shared
+//! [`Skeleton`] in [`crate::service`]; this module plugs the explanation
+//! endpoints into it. Every rejection is attributed to a cause in
+//! `em_serve_rejects_total{cause=...}` (DESIGN.md §14). `POST /drain`
+//! flips readiness without stopping service.
 
-use std::io::Write;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use em_codec::explain::{
+    cache_key, decode_explain_request, decode_pair, encode_prediction, run_explain_traced,
+    ExplainOptions,
+};
+use em_codec::Value;
 use em_entity::{MatchModel, Schema};
 use em_obs::Tracer;
 use em_par::ParallelismConfig;
 
 use crate::cache::ShardedCache;
-use crate::codec::{self, ExplainOptions};
-use crate::deadline::{is_timeout, Deadline, DeadlineStream};
-use crate::http::{read_request, HttpError, ReadPhase, Request, Response};
-use crate::json::Value;
+use crate::http::{Request, Response};
 use crate::metrics::{Endpoint, Metrics, RejectCause};
-use crate::pool::{BoundedQueue, PushError};
-
-/// Budget for writing a 408 after the connection deadline has already
-/// expired. The deadline is spent, but the client may still be reading;
-/// a short fixed grace keeps the courtesy answer from re-wedging the
-/// worker the deadline just freed.
-const REJECT_WRITE_GRACE: Duration = Duration::from_secs(1);
-
-/// Bound on the shutdown self-wake connect, so `run` can never wedge
-/// behind its own wake-up.
-const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+use crate::service::{error_body, Service, ServiceHandle, Skeleton};
 
 /// Server tunables.
 #[derive(Debug, Clone, Copy)]
@@ -90,6 +75,8 @@ impl Default for ServerConfig {
 
 /// Everything the request handlers share.
 struct AppState {
+    /// The connection lifecycle; `GET /readyz` reports its queue depth.
+    skeleton: Skeleton,
     schema: Schema,
     model: Box<dyn MatchModel + Send + Sync>,
     cache: ShardedCache,
@@ -97,35 +84,23 @@ struct AppState {
     defaults: ExplainOptions,
     predict_threshold: f64,
     slow_request_ms: Option<u64>,
-    request_timeout: Duration,
-    max_queue_age: Duration,
-    shutdown: AtomicBool,
     /// Set by `POST /drain`: the node keeps serving, but `GET /readyz`
     /// answers 503 so a routing tier stops sending it new traffic.
     draining: AtomicBool,
-    /// The accept queue lives in the shared state (not as a local of
-    /// `run`) so `GET /readyz` can report its current depth.
-    queue: BoundedQueue<TcpStream>,
-    addr: SocketAddr,
 }
 
 /// A bound explanation server. [`Server::run`] blocks until shutdown;
 /// [`Server::spawn`] runs it on a background thread for tests.
 pub struct Server {
-    listener: TcpListener,
-    workers: usize,
-    queue_depth: usize,
     state: AppState,
 }
 
 impl std::fmt::Debug for Server {
     // Manual impl: `AppState` holds a `Box<dyn MatchModel>`, which cannot
-    // be printed; the bind address and sizing are what a log line needs.
+    // be printed; the skeleton (address, sizing) is what a log line needs.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
-            .field("addr", &self.state.addr)
-            .field("workers", &self.workers)
-            .field("queue_depth", &self.queue_depth)
+            .field("skeleton", &self.state.skeleton)
             .finish_non_exhaustive()
     }
 }
@@ -139,13 +114,15 @@ impl Server {
         model: Box<dyn MatchModel + Send + Sync>,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
         Ok(Server {
-            listener,
-            workers: config.parallelism.worker_count(),
-            queue_depth: config.queue_depth,
             state: AppState {
+                skeleton: Skeleton::bind(
+                    addr,
+                    config.parallelism.worker_count(),
+                    config.queue_depth,
+                    config.request_timeout,
+                    config.max_queue_age,
+                )?,
                 schema,
                 model,
                 cache: ShardedCache::new(config.cache_capacity, config.cache_shards),
@@ -153,270 +130,101 @@ impl Server {
                 defaults: config.defaults,
                 predict_threshold: config.predict_threshold,
                 slow_request_ms: config.slow_request_ms,
-                request_timeout: config.request_timeout,
-                max_queue_age: config.max_queue_age,
-                shutdown: AtomicBool::new(false),
                 draining: AtomicBool::new(false),
-                queue: BoundedQueue::new(config.queue_depth),
-                addr,
             },
         })
     }
 
     /// The bound address (useful after binding port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.addr
+        self.state.skeleton.addr()
     }
 
     /// Serves until a `POST /shutdown` arrives, then drains in-flight
     /// requests and returns.
     pub fn run(self) {
-        let state = &self.state;
-        let queue = &state.queue;
-        em_par::scoped_workers(
-            self.workers,
-            |_worker| {
-                while let Some(conn) = queue.pop() {
-                    // Admission control: a connection that outwaited the
-                    // queue-age bound belongs to a client that has almost
-                    // certainly timed out; dropping the stream closes it
-                    // without spending any compute.
-                    if conn.age() > state.max_queue_age {
-                        state.metrics.record_reject(RejectCause::StaleQueue);
-                        continue;
-                    }
-                    handle_connection(state, conn.item);
-                }
-            },
-            || {
-                for incoming in self.listener.incoming() {
-                    if state.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let stream = match incoming {
-                        Ok(s) => s,
-                        Err(_) => continue,
-                    };
-                    if let Err(PushError::Full(stream) | PushError::Closed(stream)) =
-                        queue.push(stream)
-                    {
-                        shed_without_blocking(state, &stream);
-                    }
-                }
-                queue.close();
-            },
-        );
+        self.state.skeleton.serve(&self.state);
     }
 
     /// Runs the server on a background thread, returning a handle with the
     /// bound address.
     pub fn spawn(self) -> ServerHandle {
-        let addr = self.local_addr();
-        let thread = std::thread::spawn(move || self.run());
-        ServerHandle { addr, thread }
+        ServiceHandle::spawn(self.local_addr(), move || self.run())
     }
 }
 
 /// Handle to a [`Server::spawn`]ed server.
-#[derive(Debug)]
-pub struct ServerHandle {
-    addr: SocketAddr,
-    thread: std::thread::JoinHandle<()>,
-}
+pub type ServerHandle = ServiceHandle;
 
-impl ServerHandle {
-    /// The server's bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
+impl Service for AppState {
+    type Endpoint = Endpoint;
+    const UNPARSED: Endpoint = Endpoint::Other;
+    const SHED_MESSAGE: &'static str = "server overloaded";
 
-    /// Waits for the server to finish (after a `/shutdown` request).
-    pub fn join(self) {
-        // em-lint: allow(panic-in-request-path) -- shutdown path; propagating a worker panic is the point
-        self.thread.join().expect("server thread panicked");
-    }
-}
-
-fn error_body(message: &str) -> String {
-    Value::object(vec![("error", Value::string(message))]).to_json()
-}
-
-/// Sheds a connection from the accept thread without ever blocking it:
-/// the socket is flipped to non-blocking, already-arrived request bytes
-/// are drained (bounded, never waiting — closing with unread received
-/// data makes the kernel send RST instead of FIN, and the RST destroys
-/// the 503 sitting unread in the client's buffers), and the 503 (with
-/// `Retry-After`) is attempted as a *single* write. A fresh connection's
-/// send buffer is empty, so the ~100-byte response virtually always
-/// fits; a peer whose buffer somehow cannot take it (never-reading
-/// client) just loses the connection — the one thing the accept loop
-/// must never do is wait on a client socket, because every other user's
-/// `accept` is behind it.
-fn shed_without_blocking(state: &AppState, stream: &TcpStream) {
-    let response =
-        Response::json(503, error_body("server overloaded")).with_header("Retry-After", "1");
-    let wire = response.to_wire();
-    let nonblocking = stream.set_nonblocking(true).is_ok();
-    if nonblocking {
-        let mut sink = [0u8; 4096];
-        for _ in 0..32 {
-            if !matches!(std::io::Read::read(&mut &*stream, &mut sink), Ok(n) if n > 0) {
-                break;
-            }
-        }
-    }
-    let written =
-        nonblocking && matches!((&mut &*stream).write(wire.as_bytes()), Ok(n) if n == wire.len());
-    // A reject is counted, never a latency sample: a shed connection has
-    // no service latency, and a fabricated 0 µs observation would drag
-    // the `Other` percentiles toward zero exactly under overload.
-    state.metrics.record_reject(if written {
-        RejectCause::Shed
-    } else {
-        RejectCause::ShedDrop
-    });
-}
-
-/// Reads, routes, answers, and records one connection, all under one
-/// [`Deadline`]: every socket read and write is charged against the same
-/// `request_timeout` budget, so no pacing a client chooses can hold the
-/// worker past it (DESIGN.md §14).
-fn handle_connection(state: &AppState, stream: TcpStream) {
-    let deadline = Deadline::starting_now(state.request_timeout);
-    let start = Instant::now();
-    let mut reader = DeadlineStream::new(&stream, deadline);
-    let (endpoint, response, is_shutdown) = match read_request(&mut reader) {
-        Ok(request) => route(state, &request),
-        // The peer connected and closed without sending a byte (port
-        // probe, health checker). Nothing was asked, so nothing is
-        // answered and no counter is bumped.
-        Err(HttpError::Closed) => return,
-        Err(HttpError::Timeout(phase)) => {
-            // The deadline expired mid-request. Attribute the cause —
-            // connect-and-hold (not one byte), header drip, or body
-            // drip — then answer 408 under a short grace budget (the
-            // client may well still be reading) and reap the connection.
-            let cause = match phase {
-                ReadPhase::Header if reader.bytes_read() == 0 => RejectCause::Idle,
-                ReadPhase::Header => RejectCause::HeaderDeadline,
-                ReadPhase::Body => RejectCause::BodyDeadline,
-            };
-            state.metrics.record_reject(cause);
-            let grace = Deadline::starting_now(REJECT_WRITE_GRACE);
-            let _ = Response::json(408, error_body("request deadline exceeded"))
-                .write_to(&mut DeadlineStream::new(&stream, grace));
-            return;
-        }
-        Err(HttpError::BodyTooLarge) => (
-            Endpoint::Other,
-            Response::json(413, error_body("request body too large")),
-            false,
-        ),
-        Err(err) => {
-            if matches!(err, HttpError::Io(_)) {
-                // The peer closed or reset mid-request; the 400 below is
-                // written into the void on a full close, but half-closed
-                // peers (`shutdown(Write)`) still read it.
-                state.metrics.record_reject(RejectCause::PeerAbort);
-            }
-            (
-                Endpoint::Other,
-                Response::json(400, error_body(&err.to_string())),
-                false,
-            )
-        }
-    };
-    let latency_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    state
-        .metrics
-        .record(endpoint, latency_us, response.status >= 400);
-    // The response write shares the connection's deadline: a peer that
-    // accepts bytes too slowly (or never reads) is cut off when the
-    // budget runs out — silently, since no response can follow a partial
-    // response.
-    if let Err(err) = response.write_to(&mut DeadlineStream::new(&stream, deadline)) {
-        if is_timeout(&err) {
-            state.metrics.record_reject(RejectCause::WriteDeadline);
-        }
-    }
-    drop(stream);
-    if is_shutdown {
-        state.shutdown.store(true, Ordering::SeqCst);
-        wake_accept_loop(state.addr);
-    }
-}
-
-/// Pokes the accept loop with a loopback connection so it observes the
-/// shutdown flag. The *bound* address is not used directly: a wildcard
-/// bind (`0.0.0.0` / `[::]`) is not a connectable destination on every
-/// platform, so the wake aims at the loopback of the same family on the
-/// bound port, with a connect timeout so shutdown can never wedge behind
-/// its own wake-up. The dummy connection is dropped unanswered.
-fn wake_accept_loop(addr: SocketAddr) {
-    let ip = match addr.ip() {
-        IpAddr::V4(v4) if v4.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
-        IpAddr::V6(v6) if v6.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        ip => ip,
-    };
-    let _ = TcpStream::connect_timeout(&SocketAddr::new(ip, addr.port()), WAKE_CONNECT_TIMEOUT);
-}
-
-/// Maps a request to (endpoint, response, initiate-shutdown).
-fn route(state: &AppState, request: &Request) -> (Endpoint, Response, bool) {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/explain") => (Endpoint::Explain, handle_explain(state, request), false),
-        ("POST", "/predict") => (Endpoint::Predict, handle_predict(state, request), false),
-        ("GET", "/healthz") => (
-            Endpoint::Healthz,
-            Response::json(
-                200,
-                Value::object(vec![("status", Value::string("ok"))]).to_json(),
-            ),
-            false,
-        ),
-        ("GET", "/readyz") => (Endpoint::Readyz, handle_readyz(state), false),
-        ("GET", "/metrics") => (
-            Endpoint::Metrics,
-            Response::text(
-                200,
-                state.metrics.render(state.cache.stats(), state.cache.len()),
-            ),
-            false,
-        ),
-        ("POST", "/drain") => {
-            state.draining.store(true, Ordering::SeqCst);
-            (
-                Endpoint::Drain,
+    fn route(&self, request: &Request) -> (Endpoint, Response, bool) {
+        match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/explain") => (Endpoint::Explain, handle_explain(self, request), false),
+            ("POST", "/predict") => (Endpoint::Predict, handle_predict(self, request), false),
+            ("GET", "/healthz") => (
+                Endpoint::Healthz,
                 Response::json(
                     200,
-                    Value::object(vec![("draining", true.into())]).to_json(),
+                    Value::object(vec![("status", Value::string("ok"))]).to_json(),
                 ),
                 false,
-            )
-        }
-        ("POST", "/shutdown") => (
-            Endpoint::Shutdown,
-            Response::json(
-                200,
-                Value::object(vec![("shutting_down", true.into())]).to_json(),
             ),
-            true,
-        ),
-        (_, "/explain" | "/predict" | "/drain" | "/shutdown") => (
-            Endpoint::Other,
-            Response::json(405, error_body("use POST")),
-            false,
-        ),
-        (_, "/healthz" | "/readyz" | "/metrics") => (
-            Endpoint::Other,
-            Response::json(405, error_body("use GET")),
-            false,
-        ),
-        _ => (
-            Endpoint::Other,
-            Response::json(404, error_body("no such endpoint")),
-            false,
-        ),
+            ("GET", "/readyz") => (Endpoint::Readyz, handle_readyz(self), false),
+            ("GET", "/metrics") => (
+                Endpoint::Metrics,
+                Response::text(
+                    200,
+                    self.metrics.render(self.cache.stats(), self.cache.len()),
+                ),
+                false,
+            ),
+            ("POST", "/drain") => {
+                self.draining.store(true, Ordering::SeqCst);
+                (
+                    Endpoint::Drain,
+                    Response::json(
+                        200,
+                        Value::object(vec![("draining", true.into())]).to_json(),
+                    ),
+                    false,
+                )
+            }
+            ("POST", "/shutdown") => (
+                Endpoint::Shutdown,
+                Response::json(
+                    200,
+                    Value::object(vec![("shutting_down", true.into())]).to_json(),
+                ),
+                true,
+            ),
+            (_, "/explain" | "/predict" | "/drain" | "/shutdown") => (
+                Endpoint::Other,
+                Response::json(405, error_body("use POST")),
+                false,
+            ),
+            (_, "/healthz" | "/readyz" | "/metrics") => (
+                Endpoint::Other,
+                Response::json(405, error_body("use GET")),
+                false,
+            ),
+            _ => (
+                Endpoint::Other,
+                Response::json(404, error_body("no such endpoint")),
+                false,
+            ),
+        }
+    }
+
+    fn record(&self, endpoint: Endpoint, latency_us: u64, status: u16) {
+        self.metrics.record(endpoint, latency_us, status >= 400);
+    }
+
+    fn reject(&self, cause: RejectCause) {
+        self.metrics.record_reject(cause);
     }
 }
 
@@ -431,7 +239,7 @@ fn handle_readyz(state: &AppState) -> Response {
     let body = Value::object(vec![
         ("ready", (!draining).into()),
         ("draining", draining.into()),
-        ("queue_depth", state.queue.len().into()),
+        ("queue_depth", state.skeleton.queue_len().into()),
     ])
     .to_json();
     Response::json(if draining { 503 } else { 200 }, body)
@@ -439,12 +247,11 @@ fn handle_readyz(state: &AppState) -> Response {
 
 fn handle_explain(state: &AppState, request: &Request) -> Response {
     let start = Instant::now(); // em-lint: allow(nondet-taint) -- latency for the X-Compute-Micros header and metrics only; never touches explanation bytes
-    let decoded = match codec::decode_explain_request(&request.body, &state.schema, &state.defaults)
-    {
+    let decoded = match decode_explain_request(&request.body, &state.schema, &state.defaults) {
         Ok(d) => d,
         Err(msg) => return Response::json(400, error_body(&msg)),
     };
-    let key = codec::cache_key(&state.schema, &decoded);
+    let key = cache_key(&state.schema, &decoded);
     let trace = em_obs::Collector::new();
     let (body, cache_state) = match state.cache.get(&key) {
         // The cached body is bit-identical to a fresh computation (the
@@ -456,8 +263,7 @@ fn handle_explain(state: &AppState, request: &Request) -> Response {
         }
         None => {
             trace.add(em_obs::Counter::CacheMisses, 1);
-            let body =
-                codec::run_explain_traced(&state.model, &state.schema, &decoded, &trace).to_json();
+            let body = run_explain_traced(&state.model, &state.schema, &decoded, &trace).to_json();
             state.cache.insert(key, body.clone());
             (body, "miss")
         }
@@ -502,13 +308,13 @@ fn handle_predict(state: &AppState, request: &Request) -> Response {
         Ok(v) => v,
         Err(e) => return Response::json(400, error_body(&e.to_string())),
     };
-    let pair = match codec::decode_pair(&root, &state.schema) {
+    let pair = match decode_pair(&root, &state.schema) {
         Ok(p) => p,
         Err(msg) => return Response::json(400, error_body(&msg)),
     };
     let probability = state.model.predict_proba(&state.schema, &pair);
     Response::json(
         200,
-        codec::encode_prediction(probability, state.predict_threshold).to_json(),
+        encode_prediction(probability, state.predict_threshold).to_json(),
     )
 }

@@ -14,6 +14,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, MatchModel, Schema};
 use em_matchers::{LogisticMatcher, MatcherConfig};
@@ -21,7 +22,6 @@ use em_par::ParallelismConfig;
 use em_serve::client;
 use em_serve::deadline::{is_timeout, Deadline, DeadlineStream};
 use em_serve::http::Response;
-use em_serve::json::Value;
 use em_serve::{Server, ServerConfig};
 
 /// The per-connection budget used by the chaos server: short enough to

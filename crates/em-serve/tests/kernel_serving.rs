@@ -8,12 +8,11 @@
 //! the boxed path produces byte-identical response bodies to the naive
 //! fallback (correctness), through every served explainer kind.
 
+use em_codec::explain::{decode_explain_request, run_explain};
+use em_codec::{ExplainOptions, Value};
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, MatchModel, Schema};
 use em_matchers::{LogisticMatcher, MatcherConfig};
-use em_serve::codec::{decode_explain_request, run_explain};
-use em_serve::json::Value;
-use em_serve::ExplainOptions;
 
 /// Forwards only `predict_proba`: the default `prepare_scorer` kicks in,
 /// so every mask is scored by reconstructing the pair from scratch.

@@ -3,9 +3,9 @@
 //! is alive (it still serves traffic sent directly at it) but must not
 //! receive *new* traffic from a routing tier.
 
+use em_codec::Value;
 use em_entity::{EntityPair, MatchModel, Schema};
 use em_serve::client;
-use em_serve::json::Value;
 use em_serve::{Server, ServerConfig};
 
 /// A trivial model: these tests exercise the lifecycle only.

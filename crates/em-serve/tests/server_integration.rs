@@ -3,13 +3,13 @@
 //! bit-identical to a direct explainer call — on both the cold and the
 //! cached path — with the metrics counters moving accordingly.
 
+use em_codec::{ExplainOptions, Value};
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, MatchModel, Schema};
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_par::ParallelismConfig;
 use em_serve::client;
-use em_serve::json::Value;
-use em_serve::{ExplainOptions, Server, ServerConfig};
+use em_serve::{Server, ServerConfig};
 use landmark_core::{LandmarkConfig, LandmarkExplainer};
 
 const N_SAMPLES: usize = 64;
