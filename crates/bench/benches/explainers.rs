@@ -10,8 +10,6 @@ use em_entity::{EntityPair, MatchModel};
 use em_eval::technique::explain_record;
 use em_eval::Technique;
 use em_matchers::{LogisticMatcher, MatcherConfig};
-use em_par::ParallelismConfig;
-use landmark_core::{LandmarkConfig, LandmarkExplainer};
 
 fn setup() -> (em_entity::Schema, LogisticMatcher, EntityPair) {
     let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SWa);
@@ -67,34 +65,10 @@ fn bench_model_prediction(c: &mut Criterion) {
     });
 }
 
-/// Serial vs parallel perturbation scoring for one landmark explanation.
-/// Both arms produce bit-identical explanations; only wall-clock differs.
-fn bench_parallel_scoring(c: &mut Criterion) {
-    let (schema, matcher, record) = setup();
-    let mut group = c.benchmark_group("landmark_scoring_parallelism");
-    group.sample_size(10);
-    let threads = std::thread::available_parallelism().map_or(4, usize::from);
-    for (label, parallelism) in [
-        ("serial", ParallelismConfig::serial()),
-        ("parallel", ParallelismConfig::with_threads(threads)),
-    ] {
-        let explainer = LandmarkExplainer::new(LandmarkConfig {
-            n_samples: 500,
-            parallelism,
-            ..Default::default()
-        });
-        group.bench_with_input(BenchmarkId::from_parameter(label), &explainer, |b, ex| {
-            b.iter(|| ex.explain(&matcher, &schema, &record, em_obs::noop()));
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_explainers,
     bench_sample_budget,
-    bench_model_prediction,
-    bench_parallel_scoring
+    bench_model_prediction
 );
 criterion_main!(benches);

@@ -27,7 +27,6 @@ use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, MatchModel, Schema, SplitConfig};
 use em_matchers::{LogisticMatcher, MatcherConfig};
-use em_par::ParallelismConfig;
 use landmark_core::{DualExplanation, LandmarkConfig, LandmarkExplainer};
 
 /// Forwards only `predict_proba`, hiding the wrapped matcher's
@@ -75,7 +74,6 @@ fn main() {
 
     let explainer = LandmarkExplainer::new(LandmarkConfig {
         n_samples: base.n_samples,
-        parallelism: ParallelismConfig::serial(),
         ..Default::default()
     });
     let explain_all = |model: &dyn Fn(&EntityPair) -> DualExplanation| {

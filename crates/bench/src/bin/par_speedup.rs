@@ -1,13 +1,10 @@
-//! Serial-vs-parallel speedup report for the perturbation-scoring pipeline.
+//! Serial-vs-parallel speedup report for record-level explanation.
 //!
 //! Explains the same records twice — once with `ParallelismConfig::serial()`
-//! and once with one worker per core — at both parallel levels:
-//!
-//! 1. **within one explanation**: the record's perturbation masks fan out
-//!    across threads inside `MatchModel::par_score_masks`, one prepared
-//!    scorer per worker via `em_par::par_map_init`;
-//! 2. **across records**: the eval harness explains records concurrently,
-//!    each seeded from the base seed and its record index.
+//! and once with one worker per core — the way the eval harness and
+//! em-batch do: records fan out across threads, each explained serially
+//! and seeded from the base seed and its record index. (One explanation
+//! never forks; see DESIGN.md §7.)
 //!
 //! Both runs must be bit-identical (the report verifies this); only
 //! wall-clock differs. On a single-core host the speedup is ~1.0 by
@@ -23,14 +20,13 @@ use em_eval::technique::explain_record;
 use em_eval::Technique;
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_par::{par_map, ParallelismConfig};
-use landmark_core::{LandmarkConfig, LandmarkExplainer};
 
 fn main() {
     let base = bench::config_from_env();
     let id = bench::datasets_from_env()[0];
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
     println!(
-        "# Parallel perturbation-scoring speedup (dataset {})",
+        "# Parallel record-level explanation speedup (dataset {})",
         id.short_name()
     );
     println!("# cores detected: {threads}\n");
@@ -53,37 +49,8 @@ fn main() {
         .map(|r| r.pair.clone())
         .collect();
 
-    // Level 1: perturbation scoring inside one explanation.
+    // Per-record explanation fan-out (the eval harness loop).
     let explain_all = |parallelism: ParallelismConfig| {
-        let explainer = LandmarkExplainer::new(LandmarkConfig {
-            n_samples: base.n_samples,
-            parallelism,
-            ..Default::default()
-        });
-        let start = Instant::now();
-        let duals: Vec<_> = records
-            .iter()
-            .map(|pair| explainer.explain(&matcher, schema, pair, em_obs::noop()))
-            .collect();
-        (start.elapsed(), duals)
-    };
-    let (t_serial, serial) = explain_all(ParallelismConfig::serial());
-    let (t_parallel, parallel) = explain_all(ParallelismConfig::with_threads(threads));
-    let identical = serial.iter().zip(&parallel).all(|(a, b)| {
-        a.both().iter().zip(b.both().iter()).all(|(x, y)| {
-            x.explanation.token_weights == y.explanation.token_weights
-                && x.explanation.intercept == y.explanation.intercept
-        })
-    });
-    println!(
-        "## within-explanation scoring ({} records, {} samples)",
-        records.len(),
-        base.n_samples
-    );
-    report(t_serial.as_secs_f64(), t_parallel.as_secs_f64(), identical);
-
-    // Level 2: per-record explanation fan-out (the eval harness loop).
-    let run_level2 = |parallelism: ParallelismConfig| {
         let start = Instant::now();
         let views = par_map(&parallelism, &records, |i, pair| {
             let record_seed = base.seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
@@ -98,27 +65,19 @@ fn main() {
         });
         (start.elapsed(), views)
     };
-    let (t2_serial, v_serial) = run_level2(ParallelismConfig::serial());
-    let (t2_parallel, v_parallel) = run_level2(ParallelismConfig::with_threads(threads));
-    let identical2 = v_serial.iter().zip(&v_parallel).all(|(a, b)| {
+    let (t_serial, serial) = explain_all(ParallelismConfig::serial());
+    let (t_parallel, parallel) = explain_all(ParallelismConfig::with_threads(threads));
+    let identical = serial.iter().zip(&parallel).all(|(a, b)| {
         a.iter()
             .zip(b)
             .all(|(x, y)| x.removable == y.removable && x.base_prediction == y.base_prediction)
     });
-    println!("\n## across-record explanation ({} records)", records.len());
-    report(
-        t2_serial.as_secs_f64(),
-        t2_parallel.as_secs_f64(),
-        identical2,
+    println!(
+        "## across-record explanation ({} records, {} samples)",
+        records.len(),
+        base.n_samples
     );
-
-    if !(identical && identical2) {
-        eprintln!("\nERROR: serial and parallel runs diverged");
-        std::process::exit(1);
-    }
-}
-
-fn report(serial_s: f64, parallel_s: f64, identical: bool) {
+    let (serial_s, parallel_s) = (t_serial.as_secs_f64(), t_parallel.as_secs_f64());
     println!("  serial:   {serial_s:>8.3} s");
     println!("  parallel: {parallel_s:>8.3} s");
     println!("  speedup:  {:>8.2}x", serial_s / parallel_s.max(1e-9));
@@ -126,4 +85,9 @@ fn report(serial_s: f64, parallel_s: f64, identical: bool) {
         "  bit-identical results: {}",
         if identical { "yes" } else { "NO" }
     );
+
+    if !identical {
+        eprintln!("\nERROR: serial and parallel runs diverged");
+        std::process::exit(1);
+    }
 }

@@ -6,7 +6,6 @@ use em_lime::explanation::{PairExplanation, TokenWeight};
 use em_lime::sampler::MaskSampler;
 use em_lime::surrogate::{fit_surrogate, SurrogateConfig};
 use em_obs::{Counter, Span, Stage, Tracer};
-use em_par::ParallelismConfig;
 
 use crate::generation::generate_view;
 use crate::strategy::{GenerationStrategy, ResolvedStrategy};
@@ -22,11 +21,6 @@ pub struct LandmarkConfig {
     pub surrogate: SurrogateConfig,
     /// RNG seed for mask sampling.
     pub seed: u64,
-    /// How to spread reconstruction scoring across threads. Mask sampling
-    /// stays serial (it drives the RNG stream); only the model's batch
-    /// scoring — the hot path — fans out, so any setting produces
-    /// bit-identical explanations.
-    pub parallelism: ParallelismConfig,
 }
 
 impl Default for LandmarkConfig {
@@ -36,7 +30,6 @@ impl Default for LandmarkConfig {
             strategy: GenerationStrategy::auto(),
             surrogate: SurrogateConfig::default(),
             seed: 0,
-            parallelism: ParallelismConfig::serial(),
         }
     }
 }
@@ -131,7 +124,7 @@ impl LandmarkExplainer {
     /// per-stage timings recorded into `tracer` (`em_obs::noop()` when
     /// untraced). Tracing only observes — traced and untraced
     /// explanations are bit-identical (DESIGN.md §10).
-    pub fn explain<M: MatchModel + Sync>(
+    pub fn explain<M: MatchModel>(
         &self,
         model: &M,
         schema: &Schema,
@@ -158,7 +151,7 @@ impl LandmarkExplainer {
 
     /// Produces one explanation with `landmark` frozen, with per-stage
     /// timings recorded into `tracer`.
-    pub fn explain_with_landmark<M: MatchModel + Sync>(
+    pub fn explain_with_landmark<M: MatchModel>(
         &self,
         model: &M,
         schema: &Schema,
@@ -166,7 +159,12 @@ impl LandmarkExplainer {
         landmark: EntitySide,
         tracer: &dyn Tracer,
     ) -> LandmarkExplanation {
-        let model_prediction = model.predict_proba(schema, pair);
+        // A full model call: timed as scoring so stage spans cover the
+        // explanation (`stage_profile` asserts coverage >= 0.9).
+        let model_prediction = {
+            let _span = Span::enter(tracer, Stage::ModelScoring);
+            model.predict_proba(schema, pair)
+        };
         let strategy = self.config.strategy.resolve(model_prediction);
         let view = {
             // Landmark generation tokenizes both entities and (under
@@ -200,7 +198,7 @@ impl LandmarkExplainer {
             };
             PerturbSpec::TokenDrop { pair, left, right }
         };
-        let probs = model.par_score_masks(schema, &spec, &masks, &self.config.parallelism, tracer);
+        let probs = model.score_masks(schema, &spec, &masks, tracer);
         let fit = {
             let _span = Span::enter(tracer, Stage::SurrogateFit);
             fit_surrogate(&masks, &probs, &self.config.surrogate)

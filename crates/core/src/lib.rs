@@ -40,7 +40,6 @@ pub mod strategy;
 pub mod summary;
 
 pub use counterfactual::{counterfactual, Counterfactual, CounterfactualConfig, Edit};
-pub use em_par::ParallelismConfig;
 pub use explainer::{DualExplanation, LandmarkConfig, LandmarkExplainer, LandmarkExplanation};
 pub use generation::{generate_view, VaryingView};
 pub use reconstruction::reconstruct_with_landmark;

@@ -8,11 +8,11 @@
 //! whole duration, so two concurrent run/resume processes can never
 //! interleave manifest appends; the lock dies with the process, so a
 //! crashed run never wedges a later resume. Per-record work fans out with
-//! `em_par::par_map` over the shard's records; each record's explainer
-//! runs serially (`threads: 1`), engaging the `PreparedScorer` kernel
-//! through `par_map_init`'s serial path, one prepared state per batch
-//! worker. Record outputs depend only on `(plan, input, model, global
-//! index)`, never on the worker that computed them.
+//! `em_par::par_map` over the shard's records — the only fork level —
+//! and each record's explanation scores its masks serially on the batch
+//! worker that runs it, through one `PreparedScorer`. Record outputs
+//! depend only on `(plan, input, model, global index)`, never on the
+//! worker that computed them.
 
 use std::path::Path;
 
@@ -116,10 +116,6 @@ fn compute_shard(
             options: ExplainOptions {
                 n_samples: plan.n_samples,
                 seed,
-                // Serial inside one record: the batch worker pool is the
-                // only fork level, and the serial path is exactly where
-                // `par_map_init` builds one `PreparedScorer` per worker.
-                threads: 1,
                 ..ExplainOptions::default()
             },
         };
@@ -229,10 +225,7 @@ pub fn execute(
     let shard_dir = run_dir.join(plan::SHARD_DIR);
     std::fs::create_dir_all(&shard_dir).map_err(|e| BatchError::io(&shard_dir, e))?;
 
-    let par = match threads.unwrap_or(plan.threads) {
-        1 => ParallelismConfig::serial(),
-        n => ParallelismConfig::with_threads(n),
-    };
+    let par = ParallelismConfig::with_threads(threads.unwrap_or(plan.threads));
 
     let mut outcome = RunOutcome {
         shards_total: plan.shards,

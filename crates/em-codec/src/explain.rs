@@ -10,15 +10,15 @@
 //! config, seed)`. The canonical cache key is also built here: the JSON
 //! of the *resolved* request — schema-ordered pair values, explainer, and
 //! every config field that affects the explanation. `threads` is
-//! deliberately excluded: any thread count yields bit-identical weights
-//! (DESIGN.md §7), so including it would only fragment the cache.
+//! deliberately excluded: it has no effect (every explanation scores its
+//! masks serially, DESIGN.md §7), so including it would only fragment the
+//! cache.
 
 use em_entity::{EntityPair, EntitySide, Schema};
 use em_lime::{
     LimeConfig, LimeExplainer, MojitoCopyConfig, MojitoCopyExplainer, PairExplanation,
     SurrogateConfig, SurrogateSolver,
 };
-use em_par::ParallelismConfig;
 use landmark_core::strategy::ResolvedStrategy;
 use landmark_core::{GenerationStrategy, LandmarkConfig, LandmarkExplainer};
 
@@ -71,8 +71,9 @@ pub struct ExplainOptions {
     pub n_samples: usize,
     /// RNG seed (part of the cache key — same seed, same bytes).
     pub seed: u64,
-    /// Scoring threads within one request (`0` auto, `1` serial). Not part
-    /// of the cache key; see the module docs.
+    /// Accepted and validated (`0..=1024` on the wire) but has no effect:
+    /// every explanation scores its masks serially on the thread that
+    /// runs it. Not part of the cache key; see the module docs.
     pub threads: usize,
     /// Proximity-kernel width.
     pub kernel_width: f64,
@@ -98,13 +99,6 @@ impl ExplainOptions {
         SurrogateConfig {
             kernel_width: self.kernel_width,
             solver: self.solver,
-        }
-    }
-
-    fn parallelism(&self) -> ParallelismConfig {
-        match self.threads {
-            1 => ParallelismConfig::serial(),
-            n => ParallelismConfig::with_threads(n),
         }
     }
 
@@ -186,6 +180,8 @@ pub fn decode_explain_request(
                         .as_u64()
                         .ok_or("\"seed\" must be a non-negative integer")?;
                 }
+                // Validated for wire compatibility; it has no effect (see
+                // `ExplainOptions::threads`).
                 "threads" => {
                     let n = value
                         .as_u64()
@@ -256,7 +252,7 @@ pub fn cache_key(schema: &Schema, request: &ExplainRequest) -> String {
 }
 
 /// Runs the selected explainer and encodes the response body.
-pub fn run_explain<M: em_entity::MatchModel + Sync>(
+pub fn run_explain<M: em_entity::MatchModel>(
     model: &M,
     schema: &Schema,
     request: &ExplainRequest,
@@ -271,7 +267,7 @@ pub fn run_explain<M: em_entity::MatchModel + Sync>(
 /// Every explainer takes its tracer as a parameter; this is the one
 /// traced twin left, because the fleet benchmark harness (`fleetbench/`)
 /// calls [`run_explain`] with exactly three arguments.
-pub fn run_explain_traced<M: em_entity::MatchModel + Sync>(
+pub fn run_explain_traced<M: em_entity::MatchModel>(
     model: &M,
     schema: &Schema,
     request: &ExplainRequest,
@@ -290,7 +286,6 @@ pub fn run_explain_traced<M: em_entity::MatchModel + Sync>(
                 strategy,
                 surrogate: options.surrogate(),
                 seed: options.seed,
-                parallelism: options.parallelism(),
             });
             let dual = explainer.explain(model, schema, &request.pair, tracer);
             dual.both()
@@ -312,7 +307,6 @@ pub fn run_explain_traced<M: em_entity::MatchModel + Sync>(
                 n_samples: options.n_samples,
                 surrogate: options.surrogate(),
                 seed: options.seed,
-                parallelism: options.parallelism(),
             });
             let explanation = explainer.explain(model, schema, &request.pair, tracer);
             vec![encode_view(
@@ -330,7 +324,6 @@ pub fn run_explain_traced<M: em_entity::MatchModel + Sync>(
                 copy_into: EntitySide::Right,
                 surrogate: options.surrogate(),
                 seed: options.seed,
-                parallelism: options.parallelism(),
             });
             let explanation = explainer.explain(model, schema, &request.pair, tracer);
             vec![encode_view(
@@ -425,7 +418,9 @@ pub fn encode_prediction(probability: f64, threshold: f64) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use em_entity::{Entity, MatchModel};
+    use em_entity::{Entity, FallbackScorer, MatchModel, PerturbSpec, PreparedScorer};
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     struct OverlapModel;
     impl MatchModel for OverlapModel {
@@ -442,6 +437,44 @@ mod tests {
                 return 0.0;
             }
             a.intersection(&b).count() as f64 / a.union(&b).count() as f64
+        }
+    }
+
+    /// Scores like [`OverlapModel`] and records the thread each mask was
+    /// scored on.
+    struct ThreadProbe {
+        scored_on: Mutex<Vec<ThreadId>>,
+    }
+
+    struct ProbeScorer<'a> {
+        scored_on: &'a Mutex<Vec<ThreadId>>,
+        inner: FallbackScorer<'a, OverlapModel>,
+    }
+
+    impl PreparedScorer for ProbeScorer<'_> {
+        fn score_mask(&mut self, mask: &[bool]) -> f64 {
+            self.scored_on
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            self.inner.score_mask(mask)
+        }
+    }
+
+    impl MatchModel for ThreadProbe {
+        fn predict_proba(&self, schema: &Schema, pair: &EntityPair) -> f64 {
+            OverlapModel.predict_proba(schema, pair)
+        }
+
+        fn prepare_scorer<'a>(
+            &'a self,
+            schema: &'a Schema,
+            spec: &'a PerturbSpec<'a>,
+        ) -> Box<dyn PreparedScorer + 'a> {
+            Box::new(ProbeScorer {
+                scored_on: &self.scored_on,
+                inner: FallbackScorer::new(&OverlapModel, schema, spec),
+            })
         }
     }
 
@@ -542,6 +575,43 @@ mod tests {
         let mut c = a.clone();
         c.options.seed = 8;
         assert_ne!(cache_key(&s, &a), cache_key(&s, &c));
+    }
+
+    #[test]
+    fn threads_field_never_forks_an_explanation() {
+        // A client-chosen `threads` must not buy extra threads: every mask
+        // is scored on the calling thread and the bytes equal a
+        // `threads: 1` request's.
+        let s = schema();
+        let d = ExplainOptions::default();
+        let run = |explainer: &str, threads: usize| {
+            let body = format!(
+                r#"{{"pair": {{"left": {{"name": "sony alpha camera", "price": "849.99"}},
+                              "right": {{"name": "sony alpha camera kit", "price": "849.99"}}}},
+                     "explainer": "{explainer}",
+                     "config": {{"n_samples": 64, "seed": 7, "threads": {threads}}}}}"#
+            );
+            let req = decode_explain_request(&body, &s, &d).unwrap();
+            assert_eq!(req.options.threads, threads);
+            let probe = ThreadProbe {
+                scored_on: Mutex::new(Vec::new()),
+            };
+            let bytes = run_explain(&probe, &s, &req).to_json();
+            (bytes, probe.scored_on.into_inner().unwrap())
+        };
+        let caller = std::thread::current().id();
+        for explainer in ["landmark", "lime", "mojito-copy"] {
+            let (serial, _) = run(explainer, 1);
+            for threads in [1024, 0] {
+                let (bytes, scored_on) = run(explainer, threads);
+                assert!(!scored_on.is_empty(), "{explainer}: nothing scored");
+                assert!(
+                    scored_on.iter().all(|id| *id == caller),
+                    "{explainer}, threads = {threads}: a mask was scored off the calling thread"
+                );
+                assert_eq!(bytes, serial, "{explainer}, threads = {threads}");
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,6 @@ use crate::pair::EntityPair;
 use crate::prepared::{FallbackScorer, PerturbSpec, PreparedScorer};
 use crate::schema::Schema;
 use em_obs::{Counter, Span, Stage, Tracer};
-use em_par::ParallelismConfig;
 
 /// An entity-matching model: anything that maps a record (pair of entities)
 /// to a match probability.
@@ -12,7 +11,7 @@ use em_par::ParallelismConfig;
 /// Explainers treat implementations as black boxes — exactly the post-hoc
 /// setting of the paper. Perturbation-based explainers score hundreds of
 /// synthetic records per explanation, all through
-/// [`MatchModel::par_score_masks`].
+/// [`MatchModel::score_masks`].
 pub trait MatchModel {
     /// Probability in `[0, 1]` that the pair is a match.
     fn predict_proba(&self, schema: &Schema, pair: &EntityPair) -> f64;
@@ -47,39 +46,27 @@ pub trait MatchModel {
         Box::new(FallbackScorer::new(self, schema, spec))
     }
 
-    /// Scores every mask of a perturbation family across a thread pool
-    /// via [`MatchModel::prepare_scorer`], timed as the
-    /// [`Stage::ModelScoring`] stage of `tracer` with the mask count
-    /// recorded as [`Counter::SamplesScored`].
+    /// Scores every mask of a perturbation family with one
+    /// [`MatchModel::prepare_scorer`], timed as the [`Stage::ModelScoring`]
+    /// stage of `tracer` with the mask count recorded as
+    /// [`Counter::SamplesScored`].
     ///
-    /// Each worker builds one scorer and reuses its buffers across its
-    /// contiguous chunk of masks; results come back in input order. For
-    /// any thread count and any tracer the output is bit-identical to
-    /// scoring serially — and, by the prepared-scorer contract, to
-    /// reconstructing each masked pair and calling
-    /// [`MatchModel::predict_proba`] on it.
-    ///
-    /// Only available on `Sync` models (still object-safe: the method is
-    /// excluded from `dyn MatchModel` vtables).
-    fn par_score_masks(
+    /// Masks are scored in order on the calling thread, reusing the
+    /// scorer's buffers. One explanation never forks: parallelism lives
+    /// across records and requests (DESIGN.md §7). For any tracer the
+    /// output is bit-identical to reconstructing each masked pair and
+    /// calling [`MatchModel::predict_proba`] on it (DESIGN.md §11).
+    fn score_masks(
         &self,
         schema: &Schema,
         spec: &PerturbSpec<'_>,
         masks: &[Vec<bool>],
-        parallelism: &ParallelismConfig,
         tracer: &dyn Tracer,
-    ) -> Vec<f64>
-    where
-        Self: Sync,
-    {
+    ) -> Vec<f64> {
         let _span = Span::enter(tracer, Stage::ModelScoring);
         tracer.add(Counter::SamplesScored, masks.len() as u64);
-        em_par::par_map_init(
-            parallelism,
-            masks,
-            || self.prepare_scorer(schema, spec),
-            |scorer, _, mask| scorer.score_mask(mask),
-        )
+        let mut scorer = self.prepare_scorer(schema, spec);
+        masks.iter().map(|mask| scorer.score_mask(mask)).collect()
     }
 }
 
@@ -207,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn par_score_masks_matches_fallback_for_any_thread_count() {
+    fn score_masks_matches_fallback() {
         let (s, p) = setup();
         let spec = PerturbSpec::AttrCopy {
             pair: &p,
@@ -223,10 +210,7 @@ mod tests {
             .iter()
             .map(|m| EqualityModel.predict_proba(&s, &spec.reconstruct(m, s.len())))
             .collect();
-        for threads in [1, 2, 4] {
-            let cfg = ParallelismConfig::with_threads(threads);
-            let got = EqualityModel.par_score_masks(&s, &spec, &masks, &cfg, em_obs::noop());
-            assert_eq!(got, expected, "threads = {threads}");
-        }
+        let got = EqualityModel.score_masks(&s, &spec, &masks, em_obs::noop());
+        assert_eq!(got, expected);
     }
 }

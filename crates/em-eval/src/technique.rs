@@ -3,7 +3,6 @@
 
 use em_entity::{EntityPair, EntitySide, MatchModel, Schema, Token};
 use em_lime::{LimeConfig, LimeExplainer, MojitoCopyConfig, MojitoCopyExplainer, SurrogateConfig};
-use em_par::ParallelismConfig;
 use landmark_core::{GenerationStrategy, LandmarkConfig, LandmarkExplainer};
 
 /// The techniques compared in Tables 2-4.
@@ -69,8 +68,8 @@ pub struct ExplainedRecord {
 /// Produces the explained record(s) for a technique.
 ///
 /// `n_samples` is the perturbation budget per explanation; `seed` drives
-/// mask sampling. Inner explainers run serially: the evaluation harness
-/// parallelizes *across* records, which owns the cores already.
+/// mask sampling. Each explanation scores serially; the evaluation
+/// harness parallelizes *across* records, which owns the cores already.
 pub fn explain_record<M: MatchModel + Sync>(
     technique: Technique,
     model: &M,
@@ -92,7 +91,6 @@ pub fn explain_record<M: MatchModel + Sync>(
                 strategy,
                 surrogate,
                 seed,
-                parallelism: ParallelismConfig::serial(),
             });
             let dual = explainer.explain(model, schema, pair, em_obs::noop());
             dual.both()
@@ -130,7 +128,6 @@ pub fn explain_record<M: MatchModel + Sync>(
                 n_samples,
                 surrogate,
                 seed,
-                parallelism: ParallelismConfig::serial(),
             });
             let e = explainer.explain(model, schema, pair, em_obs::noop());
             vec![ExplainedRecord {

@@ -28,7 +28,6 @@ pub mod mojito;
 pub mod sampler;
 pub mod surrogate;
 
-pub use em_par::ParallelismConfig;
 pub use explanation::{PairExplanation, TokenWeight};
 pub use lime::{LimeConfig, LimeExplainer};
 pub use mojito::{MojitoCopyConfig, MojitoCopyExplainer};

@@ -10,7 +10,6 @@
 use em_entity::{detokenize, Token};
 use em_entity::{tokenize_pair, EntityPair, EntitySide, MatchModel, PerturbSpec, Schema, SideSpec};
 use em_obs::{Counter, Span, Stage, Tracer};
-use em_par::ParallelismConfig;
 
 use crate::explanation::{PairExplanation, TokenWeight};
 use crate::sampler::MaskSampler;
@@ -25,9 +24,6 @@ pub struct LimeConfig {
     pub surrogate: SurrogateConfig,
     /// RNG seed for mask sampling.
     pub seed: u64,
-    /// Thread-pool settings for scoring the reconstructions. Sampling stays
-    /// serial, so any setting yields bit-identical explanations.
-    pub parallelism: ParallelismConfig,
 }
 
 impl Default for LimeConfig {
@@ -36,7 +32,6 @@ impl Default for LimeConfig {
             n_samples: 500,
             surrogate: SurrogateConfig::default(),
             seed: 0,
-            parallelism: ParallelismConfig::serial(),
         }
     }
 }
@@ -61,7 +56,7 @@ impl LimeExplainer {
     /// Per-stage timings are recorded into `tracer` (`em_obs::noop()` when
     /// untraced). Tracing only observes — traced and untraced
     /// explanations are bit-identical (DESIGN.md §10).
-    pub fn explain<M: MatchModel + Sync>(
+    pub fn explain<M: MatchModel>(
         &self,
         model: &M,
         schema: &Schema,
@@ -91,7 +86,7 @@ impl LimeExplainer {
                 right: SideSpec::Varying(&right_tokens),
             }
         };
-        let probs = model.par_score_masks(schema, &spec, &masks, &self.config.parallelism, tracer);
+        let probs = model.score_masks(schema, &spec, &masks, tracer);
         let fit = {
             let _span = Span::enter(tracer, Stage::SurrogateFit);
             fit_surrogate(&masks, &probs, &self.config.surrogate)

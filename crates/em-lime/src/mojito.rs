@@ -11,7 +11,6 @@
 
 use em_entity::{tokenize_entity, EntityPair, EntitySide, MatchModel, PerturbSpec, Schema};
 use em_obs::{Counter, Span, Stage, Tracer};
-use em_par::ParallelismConfig;
 
 use crate::explanation::{PairExplanation, TokenWeight};
 use crate::sampler::MaskSampler;
@@ -29,9 +28,6 @@ pub struct MojitoCopyConfig {
     pub surrogate: SurrogateConfig,
     /// RNG seed.
     pub seed: u64,
-    /// Thread-pool settings for scoring the reconstructions. Sampling stays
-    /// serial, so any setting yields bit-identical explanations.
-    pub parallelism: ParallelismConfig,
 }
 
 impl Default for MojitoCopyConfig {
@@ -41,7 +37,6 @@ impl Default for MojitoCopyConfig {
             copy_into: EntitySide::Right,
             surrogate: SurrogateConfig::default(),
             seed: 0,
-            parallelism: ParallelismConfig::serial(),
         }
     }
 }
@@ -73,7 +68,7 @@ impl MojitoCopyExplainer {
     /// Per-stage timings are recorded into `tracer` (`em_obs::noop()` when
     /// untraced). Tracing only observes — traced and untraced
     /// explanations are bit-identical (DESIGN.md §10).
-    pub fn explain<M: MatchModel + Sync>(
+    pub fn explain<M: MatchModel>(
         &self,
         model: &M,
         schema: &Schema,
@@ -97,7 +92,7 @@ impl MojitoCopyExplainer {
                 copy_into: self.config.copy_into,
             }
         };
-        let probs = model.par_score_masks(schema, &spec, &masks, &self.config.parallelism, tracer);
+        let probs = model.score_masks(schema, &spec, &masks, tracer);
         let fit = {
             let _span = Span::enter(tracer, Stage::SurrogateFit);
             fit_surrogate(&masks, &probs, &self.config.surrogate)

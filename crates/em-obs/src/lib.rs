@@ -48,7 +48,8 @@ pub enum Stage {
     MaskSampling,
     /// Materializing one `EntityPair` per mask.
     PairReconstruction,
-    /// Black-box scoring of the reconstructed pairs (the hot path).
+    /// Black-box scoring of the reconstructed pairs (the hot path), and
+    /// of the original record where an explainer needs its prediction.
     ModelScoring,
     /// Fitting the weighted linear surrogate.
     SurrogateFit,

@@ -1,13 +1,15 @@
 //! Deterministic data-parallel execution for the Landmark Explanation
 //! workspace.
 //!
-//! The explanation pipeline is embarrassingly parallel at two levels: each
-//! record's hundreds of reconstructed perturbation pairs are scored
-//! independently, and the evaluation harness explains each record
-//! independently. This crate provides the one primitive both levels use —
-//! an **ordered fork/join map** over a slice ([`par_map`]) built on
-//! `std::thread::scope` — plus the [`ParallelismConfig`] every layer
-//! threads through its own config.
+//! The workspace forks at one level only: across independent units of
+//! coarse work. The evaluation harness (`em-eval`) and the batch pipeline
+//! (`em-batch`) explain records concurrently with [`par_map`], an
+//! **ordered fork/join map** over a slice built on `std::thread::scope`;
+//! the serving tiers (`em-serve`, `em-route`) serve requests concurrently
+//! on a [`scoped_workers`] pool. One explanation never forks: it scores
+//! its perturbation masks serially on the thread that runs it, because a
+//! few hundred sub-millisecond masks do not pay for a thread spawn.
+//! [`ParallelismConfig`] sizes both shapes.
 //!
 //! (`rayon` would be the natural backend, but the build environment is
 //! offline; the scoped-thread implementation below provides the same
@@ -28,37 +30,19 @@
 
 use std::num::NonZeroUsize;
 
-/// How a parallel region may use threads.
-///
-/// The config is `Copy` and lives inside every explainer/eval config so a
-/// single knob controls the whole pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How many threads a record-level map or a worker pool may use.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelismConfig {
     /// Worker threads to use. `0` means auto-detect
     /// (`std::thread::available_parallelism`). `1` forces serial execution
     /// on the calling thread.
     pub threads: usize,
-    /// Minimum number of items each worker must receive before an extra
-    /// thread is worth spawning; small inputs stay serial.
-    pub min_items_per_thread: usize,
-}
-
-impl Default for ParallelismConfig {
-    fn default() -> Self {
-        ParallelismConfig {
-            threads: 0,
-            min_items_per_thread: 32,
-        }
-    }
 }
 
 impl ParallelismConfig {
     /// Serial execution on the calling thread.
     pub const fn serial() -> Self {
-        ParallelismConfig {
-            threads: 1,
-            min_items_per_thread: usize::MAX,
-        }
+        ParallelismConfig { threads: 1 }
     }
 
     /// Auto-detected thread count (the default).
@@ -66,17 +50,9 @@ impl ParallelismConfig {
         ParallelismConfig::default()
     }
 
-    /// A fixed thread count with the default chunking threshold.
+    /// A fixed thread count (`0` = auto-detect).
     pub const fn with_threads(threads: usize) -> Self {
-        ParallelismConfig {
-            threads,
-            min_items_per_thread: 1,
-        }
-    }
-
-    /// Whether this config can ever use more than one thread.
-    pub fn is_parallel(&self) -> bool {
-        self.threads != 1
+        ParallelismConfig { threads }
     }
 
     /// The resolved hard thread cap: the configured count, or the detected
@@ -94,20 +70,17 @@ impl ParallelismConfig {
     }
 
     /// The number of workers a region with `n_items` items should fork:
-    /// bounded by the configured/detected thread count and by
-    /// `min_items_per_thread`, and always at least 1.
-    pub fn effective_threads(&self, n_items: usize) -> usize {
-        let chunk_cap = match self.min_items_per_thread {
-            0 => n_items,
-            m => n_items / m,
-        };
-        self.worker_count().min(chunk_cap).max(1)
+    /// the resolved thread cap, but never more workers than items, and
+    /// always at least 1.
+    fn effective_threads(&self, n_items: usize) -> usize {
+        self.worker_count().min(n_items).max(1)
     }
 }
 
 /// Ordered parallel map: `f(i, &items[i])` for every `i`, results in input
-/// order. Serial fallback when the config or input size doesn't warrant
-/// forking. See the crate docs for the determinism contract.
+/// order. Runs serially on the calling thread when the config resolves to
+/// one worker or the input has at most one item. See the crate docs for
+/// the determinism contract.
 pub fn par_map<T, R, F>(config: &ParallelismConfig, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -150,81 +123,6 @@ where
     results.into_iter().flatten().collect()
 }
 
-/// Ordered parallel map with per-worker state: like [`par_map`], but each
-/// worker first builds a private state value with `init()` and every
-/// `f(&mut state, i, &items[i])` call on that worker reuses it.
-///
-/// This is the shape the prepared scoring kernel needs: `init` builds a
-/// scorer (precomputed per-record state + scratch buffers) once per
-/// worker, and `f` scores one mask with it. The state never crosses a
-/// thread boundary — it is created and dropped inside the worker — so `S`
-/// needs no `Send` bound.
-///
-/// Determinism contract: results must depend only on `(index, item)`,
-/// never on which worker's state instance scored them or in what order.
-/// `init` must therefore produce interchangeable states (same inputs →
-/// same outputs, with any interior mutation limited to scratch space).
-/// Under that contract the result equals the serial
-/// `items.iter().enumerate().map(|(i, x)| f(&mut init(), i, x))` for any
-/// thread count, bit for bit.
-pub fn par_map_init<T, R, S, I, F>(config: &ParallelismConfig, items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    let workers = config.effective_threads(items.len());
-    if workers <= 1 {
-        let mut state = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, x)| f(&mut state, i, x))
-            .collect();
-    }
-
-    let base = items.len() / workers;
-    let extra = items.len() % workers;
-    let mut results: Vec<Vec<R>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        let mut start = 0;
-        let init = &init;
-        let f = &f;
-        for w in 0..workers {
-            let len = base + usize::from(w < extra);
-            let chunk = &items[start..start + len];
-            let offset = start;
-            handles.push(scope.spawn(move || {
-                let mut state = init();
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(i, x)| f(&mut state, offset + i, x))
-                    .collect::<Vec<R>>()
-            }));
-            start += len;
-        }
-        for handle in handles {
-            results.push(handle.join().expect("parallel worker panicked"));
-        }
-    });
-    results.into_iter().flatten().collect()
-}
-
-/// Ordered parallel flat-map: like [`par_map`] but each call may yield any
-/// number of results, concatenated in input order. Used when one record
-/// expands into several explanation views.
-pub fn par_flat_map<T, R, F>(config: &ParallelismConfig, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> Vec<R> + Sync,
-{
-    par_map(config, items, f).into_iter().flatten().collect()
-}
-
 /// Long-lived scoped workers: spawns `workers` threads each running
 /// `work(worker_index)`, runs `foreground()` on the calling thread, and
 /// joins everything before returning `foreground`'s result.
@@ -262,14 +160,6 @@ mod tests {
     fn serial_config_never_forks() {
         let cfg = ParallelismConfig::serial();
         assert_eq!(cfg.effective_threads(1_000_000), 1);
-        assert!(!cfg.is_parallel());
-    }
-
-    #[test]
-    fn small_inputs_stay_serial_under_auto() {
-        let cfg = ParallelismConfig::default();
-        assert_eq!(cfg.effective_threads(0), 1);
-        assert_eq!(cfg.effective_threads(31), 1);
     }
 
     #[test]
@@ -277,7 +167,6 @@ mod tests {
         let cfg = ParallelismConfig::with_threads(4);
         assert_eq!(cfg.effective_threads(1_000), 4);
         assert_eq!(cfg.effective_threads(2), 2);
-        assert!(cfg.is_parallel());
     }
 
     #[test]
@@ -363,60 +252,6 @@ mod tests {
     #[should_panic(expected = "scoped worker panicked")]
     fn scoped_worker_panic_propagates() {
         scoped_workers(2, |w| assert_ne!(w, 1, "boom"), || ());
-    }
-
-    #[test]
-    fn par_map_init_matches_serial_for_any_thread_count() {
-        use std::cell::Cell;
-        let items: Vec<u64> = (0..500).collect();
-        // State is a scratch counter: results must not depend on it.
-        let run = |threads: usize| {
-            par_map_init(
-                &ParallelismConfig::with_threads(threads),
-                &items,
-                || Cell::new(0u64),
-                |scratch, i, x| {
-                    scratch.set(scratch.get() + 1);
-                    x * 7 + i as u64
-                },
-            )
-        };
-        let serial = run(1);
-        let expected: Vec<u64> = items
-            .iter()
-            .enumerate()
-            .map(|(i, x)| x * 7 + i as u64)
-            .collect();
-        assert_eq!(serial, expected);
-        for threads in [2, 3, 4, 7, 16] {
-            assert_eq!(run(threads), serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn par_map_init_builds_one_state_per_worker() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let inits = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..40).collect();
-        let cfg = ParallelismConfig::with_threads(4);
-        let _ = par_map_init(
-            &cfg,
-            &items,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-            },
-            |(), i, _| i,
-        );
-        assert_eq!(inits.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn par_flat_map_concatenates_in_order() {
-        let items: Vec<usize> = (0..50).collect();
-        let cfg = ParallelismConfig::with_threads(3);
-        let got = par_flat_map(&cfg, &items, |_, &x| vec![x, x]);
-        let expected: Vec<usize> = items.iter().flat_map(|&x| [x, x]).collect();
-        assert_eq!(got, expected);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the prepared perturbation-scoring kernel.
 //!
 //! The kernel's contract (DESIGN.md §11) is *bit-identity*: for any
-//! schema, record, perturbation family, mask, and thread count, scoring a
+//! schema, record, perturbation family, and mask, scoring a
 //! mask through `MatchModel::prepare_scorer` must produce the same `f64`
 //! — same bits — as reconstructing the perturbed pair and calling
 //! `predict_proba` on it. These tests drive that contract with random
@@ -20,7 +20,6 @@ use landmark_explanation::lime::{
 };
 use landmark_explanation::linalg::logistic::LogisticModel;
 use landmark_explanation::matchers::{FeatureExtractor, LogisticMatcher, NaiveBayesMatcher};
-use landmark_explanation::par::ParallelismConfig;
 use proptest::prelude::*;
 
 /// Forwards only `predict_proba`, hiding `prepare_scorer` so the default
@@ -186,12 +185,11 @@ proptest! {
 
     /// Explainer-level bit-identity: landmark explanations (weights,
     /// intercepts, predictions) through the kernel equal the naive path
-    /// for every strategy and thread count.
+    /// for every strategy.
     #[test]
     fn landmark_explanations_match_naive_path(
         s in scenario(3),
         seed in 0u64..1000,
-        threads in 1usize..4,
     ) {
         for strategy in [
             GenerationStrategy::SingleEntity,
@@ -202,7 +200,6 @@ proptest! {
                 n_samples: 40,
                 seed,
                 strategy,
-                parallelism: ParallelismConfig::with_threads(threads),
                 ..Default::default()
             };
             let explainer = LandmarkExplainer::new(config);
