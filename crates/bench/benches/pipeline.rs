@@ -4,12 +4,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use em_datagen::{DatasetId, MagellanBenchmark};
-use em_entity::{tokenize_entity, EntitySide, MatchModel};
+use em_entity::{tokenize_entity, EntitySide, MatchModel, PerturbSpec, SideSpec};
 use em_lime::sampler::sample_masks;
 use em_lime::surrogate::{fit_surrogate, SurrogateConfig};
 use em_matchers::{LogisticMatcher, MatcherConfig};
+use landmark_core::generate_view;
 use landmark_core::strategy::ResolvedStrategy;
-use landmark_core::{generate_view, reconstruct_with_landmark};
 
 fn bench_pipeline_stages(c: &mut Criterion) {
     let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SWa);
@@ -31,11 +31,16 @@ fn bench_pipeline_stages(c: &mut Criterion) {
     });
 
     let masks = sample_masks(view.tokens.len(), 500, 0);
+    let spec = PerturbSpec::TokenDrop {
+        pair: &pair,
+        left: SideSpec::Fixed,
+        right: SideSpec::Varying(&view.tokens),
+    };
     c.bench_function("stage_reconstruct_500", |b| {
         b.iter(|| {
             masks
                 .iter()
-                .map(|m| reconstruct_with_landmark(&pair, &view, m, schema.len()))
+                .map(|m| spec.reconstruct(m, schema.len()))
                 .collect::<Vec<_>>()
                 .len()
         });
@@ -43,7 +48,7 @@ fn bench_pipeline_stages(c: &mut Criterion) {
 
     let reconstructed: Vec<_> = masks
         .iter()
-        .map(|m| reconstruct_with_landmark(&pair, &view, m, schema.len()))
+        .map(|m| spec.reconstruct(m, schema.len()))
         .collect();
     let mut group = c.benchmark_group("stage_model_scoring_500");
     group.sample_size(10);

@@ -9,7 +9,7 @@
 //! match-supporting injected tokens — until the model's prediction flips,
 //! returning the minimal edit found.
 
-use em_entity::{detokenize, EntityPair, MatchModel, Schema, Token};
+use em_entity::{EntityPair, EntitySide, MatchModel, PerturbSpec, Schema, SideSpec, Token};
 
 use crate::explainer::LandmarkExplanation;
 
@@ -71,65 +71,58 @@ pub fn counterfactual<M: MatchModel>(
     let start_prob = explanation.explanation.model_prediction;
     let start_class = start_prob >= config.threshold;
 
-    // Current token multiset of the varying entity: original tokens on.
-    // Injected tokens start off.
-    struct Slot {
-        token: Token,
-        weight: f64,
-        present: bool,
-    }
-    let mut slots: Vec<Slot> = explanation
+    // The varying entity's tokens: original tokens start present, injected
+    // tokens start absent. `present` is the mask over the varying side of
+    // the explanation's perturbation family, so every candidate record is
+    // rebuilt by `PerturbSpec`, exactly as the explainer scored it.
+    let mut tokens = Vec::new();
+    let mut weights = Vec::new();
+    let mut present = Vec::new();
+    for (tw, &inj) in explanation
         .explanation
         .token_weights
         .iter()
         .zip(&explanation.injected)
-        .map(|(tw, &inj)| Slot {
-            token: tw.token.clone(),
-            weight: tw.weight,
-            present: !inj,
-        })
-        .collect();
+    {
+        tokens.push(tw.token.clone());
+        weights.push(tw.weight);
+        present.push(!inj);
+    }
+    let (left, right) = match explanation.varying {
+        EntitySide::Left => (SideSpec::Varying(&tokens[..]), SideSpec::Fixed),
+        EntitySide::Right => (SideSpec::Fixed, SideSpec::Varying(&tokens[..])),
+    };
+    let spec = PerturbSpec::TokenDrop { pair, left, right };
 
     // Candidate edits, best-first.
-    let mut order: Vec<usize> = (0..slots.len())
+    let mut order: Vec<usize> = (0..tokens.len())
         .filter(|&i| {
-            let s = &slots[i];
             if start_class {
                 // Flip match -> non-match: remove positive original tokens.
-                s.present && s.weight > 0.0
+                present[i] && weights[i] > 0.0
             } else {
                 // Flip non-match -> match: add positive injected tokens or
                 // remove negative original tokens.
-                (!s.present && s.weight > 0.0) || (s.present && s.weight < 0.0)
+                (!present[i] && weights[i] > 0.0) || (present[i] && weights[i] < 0.0)
             }
         })
         .collect();
-    order.sort_by(|&a, &b| slots[b].weight.abs().total_cmp(&slots[a].weight.abs()));
-
-    let rebuild = |slots: &[Slot]| -> EntityPair {
-        let kept: Vec<Token> = slots
-            .iter()
-            .filter(|s| s.present)
-            .map(|s| s.token.clone())
-            .collect();
-        pair.with_entity(explanation.varying, detokenize(&kept, schema.len()))
-    };
+    order.sort_by(|&a, &b| weights[b].abs().total_cmp(&weights[a].abs()));
 
     let mut edits = Vec::new();
-    let mut record = rebuild(&slots);
+    let mut record = spec.reconstruct(&present, schema.len());
     let mut probability = model.predict_proba(schema, &record);
     for &i in order.iter().take(config.max_edits) {
         if (probability >= config.threshold) != start_class {
             break; // already flipped
         }
-        let edit = if slots[i].present {
-            slots[i].present = false;
-            Edit::Remove(slots[i].token.clone())
+        let edit = if present[i] {
+            Edit::Remove(tokens[i].clone())
         } else {
-            slots[i].present = true;
-            Edit::Add(slots[i].token.clone())
+            Edit::Add(tokens[i].clone())
         };
-        let candidate = rebuild(&slots);
+        present[i] = !present[i];
+        let candidate = spec.reconstruct(&present, schema.len());
         let p = model.predict_proba(schema, &candidate);
         // Keep the edit only if it moves the probability the right way.
         let improves = if start_class {
@@ -143,7 +136,7 @@ pub fn counterfactual<M: MatchModel>(
             probability = p;
         } else {
             // Revert.
-            slots[i].present = !slots[i].present;
+            present[i] = !present[i];
         }
     }
 

@@ -24,8 +24,12 @@
 //!
 //! The pipeline mirrors the paper's Figure 2: [`generation`] (Landmark
 //! generation) → mask sampling (from `em-lime`, the wrapped explainer) →
-//! [`reconstruction`] (Pair reconstruction) → black-box scoring (Dataset
-//! reconstruction) → surrogate fit (from `em-lime`).
+//! Pair reconstruction, which is [`em_entity::PerturbSpec`] with the
+//! landmark side [`Fixed`](em_entity::SideSpec::Fixed) and the varying
+//! side [`Varying`](em_entity::SideSpec::Varying) over the view's tokens
+//! (built inside the `PairReconstruction` span) → black-box scoring
+//! (Dataset reconstruction, [`em_entity::MatchModel::score_masks`]) →
+//! surrogate fit (from `em-lime`).
 //!
 //! Entry point: [`LandmarkExplainer`].
 
@@ -35,13 +39,11 @@
 pub mod counterfactual;
 pub mod explainer;
 pub mod generation;
-pub mod reconstruction;
 pub mod strategy;
 pub mod summary;
 
 pub use counterfactual::{counterfactual, Counterfactual, CounterfactualConfig, Edit};
 pub use explainer::{DualExplanation, LandmarkConfig, LandmarkExplainer, LandmarkExplanation};
 pub use generation::{generate_view, VaryingView};
-pub use reconstruction::reconstruct_with_landmark;
 pub use strategy::GenerationStrategy;
 pub use summary::{summarize, ExplanationSummary};

@@ -237,20 +237,60 @@ mod tests {
     #[test]
     fn token_drop_dropping_tokens_changes_the_varying_side_only() {
         let (s, p) = setup();
-        let tokens = tokenize_entity(p.entity(EntitySide::Left));
-        let spec = PerturbSpec::TokenDrop {
-            pair: &p,
-            left: SideSpec::Varying(&tokens),
-            right: SideSpec::Fixed,
-        };
-        let mut mask = vec![true; spec.mask_len(s.len())];
-        mask[0] = false; // drop "x" from left "a"
-        let rebuilt = spec.reconstruct(&mask, s.len());
-        assert_eq!(rebuilt.left.value(0), "y");
-        assert_eq!(
-            rebuilt.right.values().collect::<Vec<_>>(),
-            p.right.values().collect::<Vec<_>>()
-        );
+        let own = |side| tokenize_entity(p.entity(side));
+        // The double-entity view with the left side as landmark: per
+        // attribute, the right side's own tokens, then the landmark's
+        // injected ones, renumbered.
+        let double = vec![
+            Token::new(0, 0, "x"),
+            Token::new(0, 1, "x"),
+            Token::new(0, 2, "y"),
+            Token::new(1, 0, "z"),
+            Token::new(1, 1, "z"),
+        ];
+        // (varying side, its tokens, mask, expected varying values); the
+        // other side is the landmark and must come back unchanged.
+        let cases = [
+            (
+                EntitySide::Left,
+                own(EntitySide::Left),
+                vec![false, true, true],
+                ["y", "z"],
+            ),
+            (
+                EntitySide::Left,
+                own(EntitySide::Left),
+                vec![false; 3],
+                ["", ""],
+            ),
+            (
+                EntitySide::Right,
+                own(EntitySide::Right),
+                vec![false, true],
+                ["", "z"],
+            ),
+            // Keeping only the injected tokens rebuilds the landmark's values.
+            (
+                EntitySide::Right,
+                double,
+                vec![false, true, true, false, true],
+                ["x y", "z"],
+            ),
+        ];
+        for (varying, tokens, mask, expected) in cases {
+            let (left, right) = match varying {
+                EntitySide::Left => (SideSpec::Varying(&tokens[..]), SideSpec::Fixed),
+                EntitySide::Right => (SideSpec::Fixed, SideSpec::Varying(&tokens[..])),
+            };
+            let rebuilt = PerturbSpec::TokenDrop {
+                pair: &p,
+                left,
+                right,
+            }
+            .reconstruct(&mask, s.len());
+            assert_eq!(rebuilt.entity(varying), &Entity::new(expected.to_vec()));
+            assert_eq!(rebuilt.entity(varying.other()), p.entity(varying.other()));
+        }
     }
 
     #[test]

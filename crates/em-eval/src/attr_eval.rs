@@ -6,49 +6,18 @@
 //! two attribute *rankings* should agree — measured with the weighted
 //! Kendall tau.
 
-use em_entity::{EntityPair, MatchModel, Schema};
+use em_entity::Schema;
 
 use crate::kendall::weighted_kendall_tau;
-use crate::technique::{explain_record, Technique};
 
-/// Runs the attribute-based evaluation for one technique.
+/// Attribute-based evaluation over pre-computed explanations (one inner vec
+/// of views per record).
 ///
-/// * `model_attribute_weights` — the EM model's per-attribute coefficients
-///   (absolute values are ranked);
-/// * `records` — the sampled records to explain.
-///
-/// Per-record attribute importances are averaged over all records (and
-/// both landmark views, for landmark techniques) before ranking, yielding
-/// one correlation per dataset/technique/label like the paper's Table 3.
-pub fn attribute_eval<M: MatchModel + Sync>(
-    model: &M,
-    model_attribute_weights: &[f64],
-    schema: &Schema,
-    records: &[&EntityPair],
-    technique: Technique,
-    n_samples: usize,
-    seed: u64,
-) -> f64 {
-    assert_eq!(
-        model_attribute_weights.len(),
-        schema.len(),
-        "one model weight per attribute"
-    );
-    if records.is_empty() {
-        return 0.0;
-    }
-    let views_per_record: Vec<Vec<crate::technique::ExplainedRecord>> = records
-        .iter()
-        .enumerate()
-        .map(|(i, pair)| {
-            let record_seed = seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
-            explain_record(technique, model, schema, pair, n_samples, record_seed)
-        })
-        .collect();
-    attribute_eval_views(model_attribute_weights, schema, &views_per_record)
-}
-
-/// Attribute-based evaluation over pre-computed explanations.
+/// `model_attribute_weights` are the EM model's per-attribute coefficients
+/// (absolute values are ranked). Per-record attribute importances are
+/// averaged over all records (and both landmark views, for landmark
+/// techniques) before ranking, yielding one correlation per
+/// dataset/technique/label like the paper's Table 3.
 pub fn attribute_eval_views(
     model_attribute_weights: &[f64],
     schema: &Schema,
@@ -80,7 +49,8 @@ pub fn attribute_eval_views(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use em_entity::Entity;
+    use crate::technique::{explain_record, ExplainedRecord, Technique};
+    use em_entity::{Entity, EntityPair, MatchModel};
 
     /// Linear model over per-attribute token overlap with known weights:
     /// attribute 0 matters three times as much as attribute 1.
@@ -115,19 +85,24 @@ mod tests {
         )
     }
 
+    fn explain(technique: Technique, n_samples: usize, seed: u64) -> [Vec<ExplainedRecord>; 1] {
+        [explain_record(
+            technique,
+            &WeightedOverlapModel,
+            &schema(),
+            &matching_pair(),
+            n_samples,
+            seed,
+        )]
+    }
+
     #[test]
     fn faithful_technique_recovers_the_attribute_ranking() {
-        let pair = matching_pair();
-        let records = vec![&pair];
         for technique in [Technique::Lime, Technique::LandmarkSingle] {
-            let tau = attribute_eval(
-                &WeightedOverlapModel,
+            let tau = attribute_eval_views(
                 &WeightedOverlapModel::WEIGHTS,
                 &schema(),
-                &records,
-                technique,
-                600,
-                0,
+                &explain(technique, 600, 0),
             );
             assert!(tau > 0.9, "{technique:?}: tau = {tau}");
         }
@@ -135,72 +110,35 @@ mod tests {
 
     #[test]
     fn reversed_reference_gives_negative_tau() {
-        let pair = matching_pair();
-        let records = vec![&pair];
         let reversed = [0.2, 0.6]; // wrong order on purpose
-        let tau = attribute_eval(
-            &WeightedOverlapModel,
-            &reversed,
-            &schema(),
-            &records,
-            Technique::Lime,
-            600,
-            0,
-        );
+        let tau = attribute_eval_views(&reversed, &schema(), &explain(Technique::Lime, 600, 0));
         assert!(tau < 0.0, "tau = {tau}");
     }
 
     #[test]
     fn empty_records_give_zero() {
-        let tau = attribute_eval(
-            &WeightedOverlapModel,
-            &WeightedOverlapModel::WEIGHTS,
-            &schema(),
-            &[],
-            Technique::Lime,
-            100,
-            0,
-        );
+        let tau = attribute_eval_views(&WeightedOverlapModel::WEIGHTS, &schema(), &[]);
         assert_eq!(tau, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "one model weight per attribute")]
     fn weight_length_mismatch_panics() {
-        let pair = matching_pair();
-        let records = vec![&pair];
-        attribute_eval(
-            &WeightedOverlapModel,
-            &[1.0],
-            &schema(),
-            &records,
-            Technique::Lime,
-            100,
-            0,
-        );
+        attribute_eval_views(&[1.0], &schema(), &explain(Technique::Lime, 100, 0));
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let pair = matching_pair();
-        let records = vec![&pair];
-        let t1 = attribute_eval(
-            &WeightedOverlapModel,
-            &WeightedOverlapModel::WEIGHTS,
+        let weights = &WeightedOverlapModel::WEIGHTS;
+        let t1 = attribute_eval_views(
+            weights,
             &schema(),
-            &records,
-            Technique::LandmarkDouble,
-            200,
-            7,
+            &explain(Technique::LandmarkDouble, 200, 7),
         );
-        let t2 = attribute_eval(
-            &WeightedOverlapModel,
-            &WeightedOverlapModel::WEIGHTS,
+        let t2 = attribute_eval_views(
+            weights,
             &schema(),
-            &records,
-            Technique::LandmarkDouble,
-            200,
-            7,
+            &explain(Technique::LandmarkDouble, 200, 7),
         );
         assert_eq!(t1, t2);
     }

@@ -12,70 +12,23 @@
 //! The *interest* of a technique is the fraction of records whose
 //! predicted class flips after the removal.
 
-use em_entity::{EntityPair, MatchModel, Schema};
+use em_entity::{MatchModel, Schema};
 
 use crate::removal::remove_tokens;
-use crate::technique::{explain_record, Technique};
 
-/// Configuration for the interest evaluation.
-#[derive(Debug, Clone, Copy)]
-pub struct InterestConfig {
-    /// Decision threshold (paper: 0.5, with a 0.4 sensitivity note).
-    pub threshold: f64,
-    /// Perturbation samples per explanation.
-    pub n_samples: usize,
-    /// Base seed.
-    pub seed: u64,
-}
-
-impl Default for InterestConfig {
-    fn default() -> Self {
-        InterestConfig {
-            threshold: 0.5,
-            n_samples: 500,
-            seed: 0,
-        }
-    }
-}
-
-/// Runs the interest evaluation for one technique.
+/// Interest evaluation over pre-computed explanations (one inner vec of
+/// views per record).
 ///
 /// `remove_positive` selects the removal direction: `true` for records
 /// labeled matching (remove match-supporting tokens), `false` for
-/// non-matching (remove match-blocking tokens).
-pub fn interest_eval<M: MatchModel + Sync>(
-    model: &M,
-    schema: &Schema,
-    records: &[&EntityPair],
-    technique: Technique,
-    remove_positive: bool,
-    config: &InterestConfig,
-) -> f64 {
-    let views_per_record: Vec<Vec<crate::technique::ExplainedRecord>> = records
-        .iter()
-        .enumerate()
-        .map(|(i, pair)| {
-            let record_seed = config.seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
-            explain_record(
-                technique,
-                model,
-                schema,
-                pair,
-                config.n_samples,
-                record_seed,
-            )
-        })
-        .collect();
-    interest_eval_views(model, schema, &views_per_record, remove_positive, config)
-}
-
-/// Interest evaluation over pre-computed explanations.
+/// non-matching (remove match-blocking tokens). `threshold` is the
+/// decision threshold (paper: 0.5, with a 0.4 sensitivity note).
 pub fn interest_eval_views<M: MatchModel + Sync>(
     model: &M,
     schema: &Schema,
     views_per_record: &[Vec<crate::technique::ExplainedRecord>],
     remove_positive: bool,
-    config: &InterestConfig,
+    threshold: f64,
 ) -> f64 {
     if views_per_record.is_empty() {
         return 0.0;
@@ -99,8 +52,8 @@ pub fn interest_eval_views<M: MatchModel + Sync>(
             // "Change in the label" is measured against the class the model
             // assigns to the *raw* record (for double-entity generation the
             // base is the concatenated record, whose class may differ).
-            let before = view.original_prediction >= config.threshold;
-            let after = model.predict_proba(schema, &modified) >= config.threshold;
+            let before = view.original_prediction >= threshold;
+            let after = model.predict_proba(schema, &modified) >= threshold;
             if before != after {
                 flips += 1;
             }
@@ -116,7 +69,8 @@ pub fn interest_eval_views<M: MatchModel + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use em_entity::Entity;
+    use crate::technique::{explain_record, Technique};
+    use em_entity::{Entity, EntityPair};
 
     /// Overlap model: probability = Jaccard over all tokens.
     struct Overlap;
@@ -146,6 +100,25 @@ mod tests {
         Schema::from_names(vec!["name"])
     }
 
+    /// Explains `pair` once with seed 0 and measures its interest.
+    fn interest(
+        pair: &EntityPair,
+        technique: Technique,
+        remove_positive: bool,
+        n_samples: usize,
+        threshold: f64,
+    ) -> f64 {
+        let views = [explain_record(
+            technique,
+            &Overlap,
+            &schema(),
+            pair,
+            n_samples,
+            0,
+        )];
+        interest_eval_views(&Overlap, &schema(), &views, remove_positive, threshold)
+    }
+
     #[test]
     fn removing_positive_tokens_flips_a_match() {
         // Strong match: 5 of 6 tokens shared -> p = 5/7 ≈ 0.71 ≥ 0.5.
@@ -153,19 +126,7 @@ mod tests {
             Entity::new(vec!["a b c d e f"]),
             Entity::new(vec!["a b c d e g"]),
         );
-        let records = vec![&pair];
-        let interest = interest_eval(
-            &Overlap,
-            &schema(),
-            &records,
-            Technique::Lime,
-            true,
-            &InterestConfig {
-                n_samples: 600,
-                ..Default::default()
-            },
-        );
-        assert_eq!(interest, 1.0);
+        assert_eq!(interest(&pair, Technique::Lime, true, 600, 0.5), 1.0);
     }
 
     #[test]
@@ -174,16 +135,7 @@ mod tests {
         // label cannot flip to match — the exact weakness the paper
         // describes for LIME / Mojito Drop on non-matching records.
         let pair = EntityPair::new(Entity::new(vec!["a b c"]), Entity::new(vec!["x y z"]));
-        let records = vec![&pair];
-        let interest = interest_eval(
-            &Overlap,
-            &schema(),
-            &records,
-            Technique::Lime,
-            false,
-            &InterestConfig::default(),
-        );
-        assert_eq!(interest, 0.0);
+        assert_eq!(interest(&pair, Technique::Lime, false, 500, 0.5), 0.0);
     }
 
     #[test]
@@ -196,31 +148,13 @@ mod tests {
             Entity::new(vec!["a b c d e f"]),
             Entity::new(vec!["a b c x y"]),
         );
-        let records = vec![&pair];
-        let double = interest_eval(
-            &Overlap,
-            &schema(),
-            &records,
-            Technique::LandmarkDouble,
-            false,
-            &InterestConfig {
-                n_samples: 800,
-                ..Default::default()
-            },
-        );
+        let double = interest(&pair, Technique::LandmarkDouble, false, 800, 0.5);
         assert!(double > 0.9, "double interest = {double}");
     }
 
     #[test]
     fn empty_records_give_zero() {
-        let r = interest_eval(
-            &Overlap,
-            &schema(),
-            &[],
-            Technique::Lime,
-            true,
-            &InterestConfig::default(),
-        );
+        let r = interest_eval_views(&Overlap, &schema(), &[], true, 0.5);
         assert_eq!(r, 0.0);
     }
 
@@ -229,18 +163,7 @@ mod tests {
         // p = 3/5 = 0.6: a match at threshold 0.5 and also at 0.55; with a
         // lower threshold of 0.2 the removal must push further to flip.
         let pair = EntityPair::new(Entity::new(vec!["a b c d"]), Entity::new(vec!["a b c e"]));
-        let records = vec![&pair];
-        let strict = interest_eval(
-            &Overlap,
-            &schema(),
-            &records,
-            Technique::Lime,
-            true,
-            &InterestConfig {
-                threshold: 0.05,
-                ..Default::default()
-            },
-        );
+        let strict = interest(&pair, Technique::Lime, true, 500, 0.05);
         // At threshold 0.05 nearly any residual overlap keeps it a match:
         // flipping requires eliminating all overlap, which removing only
         // positive tokens achieves (shared tokens are positive).
@@ -255,27 +178,8 @@ mod tests {
             Entity::new(vec!["a b c d e"]),
             Entity::new(vec!["a b x y z"]),
         );
-        let records = vec![&pair];
-        let cfg = InterestConfig {
-            n_samples: 300,
-            ..Default::default()
-        };
-        let a = interest_eval(
-            &Overlap,
-            &schema(),
-            &records,
-            Technique::LandmarkDouble,
-            false,
-            &cfg,
-        );
-        let b = interest_eval(
-            &Overlap,
-            &schema(),
-            &records,
-            Technique::LandmarkDouble,
-            false,
-            &cfg,
-        );
+        let a = interest(&pair, Technique::LandmarkDouble, false, 300, 0.5);
+        let b = interest(&pair, Technique::LandmarkDouble, false, 300, 0.5);
         assert_eq!(a, b);
     }
 }

@@ -14,14 +14,17 @@
 //!
 //! [`neighborhood_stats`] measures both quantities for each technique's
 //! perturbation strategy, so the motivation can be verified empirically
-//! (`cargo run --release -p bench --bin perturbation_stats`).
+//! (`cargo run --release -p bench --bin perturbation_stats`). Each
+//! technique's samples are scored through the same [`PerturbSpec`] its
+//! explainer builds, so the statistics describe the neighborhood the
+//! surrogate is fitted on, not a copy of it.
 
 use std::collections::HashSet;
 
-use em_entity::{EntityPair, EntitySide, MatchModel, Schema, Token};
+use em_entity::{EntityPair, EntitySide, MatchModel, PerturbSpec, Schema, SideSpec, Token};
 use em_lime::sampler::MaskSampler;
+use landmark_core::generate_view;
 use landmark_core::strategy::ResolvedStrategy;
-use landmark_core::{generate_view, reconstruct_with_landmark};
 
 use crate::technique::Technique;
 
@@ -91,10 +94,15 @@ fn lime_stats<M: MatchModel + Sync>(
     seed: u64,
 ) -> NeighborhoodStats {
     let (lt, rt) = em_entity::tokenize_pair(pair);
-    let features: Vec<(EntitySide, Token)> = lt
-        .into_iter()
+    let spec = PerturbSpec::TokenDrop {
+        pair,
+        left: SideSpec::Varying(&lt),
+        right: SideSpec::Varying(&rt),
+    };
+    let features: Vec<(EntitySide, &Token)> = lt
+        .iter()
         .map(|t| (EntitySide::Left, t))
-        .chain(rt.into_iter().map(|t| (EntitySide::Right, t)))
+        .chain(rt.iter().map(|t| (EntitySide::Right, t)))
         .collect();
     let shared: HashSet<&str> = {
         let l: HashSet<&str> = features
@@ -110,7 +118,6 @@ fn lime_stats<M: MatchModel + Sync>(
         l.intersection(&r).copied().collect()
     };
     let masks = MaskSampler::new(seed).sample(features.len(), n_samples);
-    let mut probs = Vec::with_capacity(masks.len());
     let mut nulls = 0usize;
     for mask in &masks {
         // Null perturbation: some shared text dropped from both sides.
@@ -127,22 +134,8 @@ fn lime_stats<M: MatchModel + Sync>(
         if dropped_left.intersection(&dropped_right).next().is_some() {
             nulls += 1;
         }
-        let mut left_kept = Vec::new();
-        let mut right_kept = Vec::new();
-        for ((side, token), &keep) in features.iter().zip(mask) {
-            if keep {
-                match side {
-                    EntitySide::Left => left_kept.push(token.clone()),
-                    EntitySide::Right => right_kept.push(token.clone()),
-                }
-            }
-        }
-        let rebuilt = EntityPair::new(
-            em_entity::detokenize(&left_kept, schema.len()),
-            em_entity::detokenize(&right_kept, schema.len()),
-        );
-        probs.push(model.predict_proba(schema, &rebuilt));
     }
+    let probs = model.score_masks(schema, &spec, &masks, em_obs::noop());
     summarize(&probs, nulls)
 }
 
@@ -155,14 +148,13 @@ fn landmark_stats<M: MatchModel + Sync>(
     seed: u64,
 ) -> NeighborhoodStats {
     let view = generate_view(pair, EntitySide::Left, strategy);
+    let spec = PerturbSpec::TokenDrop {
+        pair,
+        left: SideSpec::Fixed,
+        right: SideSpec::Varying(&view.tokens),
+    };
     let masks = MaskSampler::new(seed).sample(view.tokens.len(), n_samples);
-    let probs: Vec<f64> = masks
-        .iter()
-        .map(|m| {
-            let rebuilt = reconstruct_with_landmark(pair, &view, m, schema.len());
-            model.predict_proba(schema, &rebuilt)
-        })
-        .collect();
+    let probs = model.score_masks(schema, &spec, &masks, em_obs::noop());
     summarize(&probs, 0)
 }
 
@@ -173,28 +165,21 @@ fn copy_stats<M: MatchModel + Sync>(
     n_samples: usize,
     seed: u64,
 ) -> NeighborhoodStats {
-    let d = schema.len();
-    let masks = MaskSampler::new(seed).sample(d, n_samples);
-    let probs: Vec<f64> = masks
-        .iter()
-        .map(|mask| {
-            let mut p = pair.clone();
-            for (attr, &keep) in mask.iter().enumerate() {
-                if !keep {
-                    let v = pair.left.value(attr).to_string();
-                    p.right.set_value(attr, v);
-                }
-            }
-            model.predict_proba(schema, &p)
-        })
-        .collect();
+    let spec = PerturbSpec::AttrCopy {
+        pair,
+        copy_into: EntitySide::Right,
+    };
+    let masks = MaskSampler::new(seed).sample(schema.len(), n_samples);
+    let probs = model.score_masks(schema, &spec, &masks, em_obs::noop());
     summarize(&probs, 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_datagen::{DatasetId, MagellanBenchmark};
     use em_entity::Entity;
+    use em_matchers::{LogisticMatcher, MatcherConfig};
 
     struct Overlap;
     impl MatchModel for Overlap {
@@ -289,6 +274,46 @@ mod tests {
         );
         // Copying the single attribute makes the pair identical.
         assert!(s.match_fraction > 0.3, "{s:?}");
+    }
+
+    /// Forwards only `predict_proba`, so every mask takes the naive
+    /// reconstruct-then-predict path instead of the matcher's kernel.
+    struct NaiveOnly<'a>(&'a LogisticMatcher);
+    impl MatchModel for NaiveOnly<'_> {
+        fn predict_proba(&self, schema: &Schema, pair: &EntityPair) -> f64 {
+            self.0.predict_proba(schema, pair)
+        }
+    }
+
+    #[test]
+    fn kernel_and_naive_scoring_give_bit_identical_stats() {
+        let dataset = MagellanBenchmark::scaled(0.1).generate(DatasetId::TAb);
+        let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+        let schema = dataset.schema();
+        let matches = dataset.records().iter().filter(|r| r.label).take(2);
+        let non_matches = dataset.records().iter().filter(|r| !r.label).take(2);
+        let bits = |s: NeighborhoodStats| {
+            [
+                s.match_fraction.to_bits(),
+                s.mean_probability.to_bits(),
+                s.null_perturbation_fraction.to_bits(),
+                s.n_samples as u64,
+            ]
+        };
+        for record in matches.chain(non_matches) {
+            for technique in Technique::all() {
+                let kernel = neighborhood_stats(&matcher, schema, &record.pair, technique, 80, 5);
+                let naive = neighborhood_stats(
+                    &NaiveOnly(&matcher),
+                    schema,
+                    &record.pair,
+                    technique,
+                    80,
+                    5,
+                );
+                assert_eq!(bits(kernel), bits(naive), "{technique:?}");
+            }
+        }
     }
 
     #[test]

@@ -13,9 +13,14 @@ use em_entity::{EmDataset, EntityPair, SplitConfig};
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_par::ParallelismConfig;
 
-use crate::interest_eval::InterestConfig;
 use crate::technique::Technique;
 use crate::token_eval::{TokenEvalConfig, TokenEvalResult};
+
+/// The seed of record `i` in a sample explained with base seed `seed`.
+/// Every record derives its own, so thread count never changes results.
+pub(crate) fn record_seed(seed: u64, i: usize) -> u64 {
+    seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9)
+}
 
 /// Experiment configuration (paper defaults).
 #[derive(Debug, Clone, Copy)]
@@ -152,12 +157,6 @@ impl Evaluator {
         let token_cfg = TokenEvalConfig {
             removal_fraction: self.config.removal_fraction,
             threshold: self.config.threshold,
-            n_samples: self.config.n_samples,
-            seed: self.config.seed,
-        };
-        let interest_cfg = InterestConfig {
-            threshold: self.config.threshold,
-            n_samples: self.config.n_samples,
             seed: self.config.seed,
         };
 
@@ -171,18 +170,13 @@ impl Evaluator {
                 // seed and its index, so thread count never changes results.
                 let views_per_record: Vec<Vec<crate::technique::ExplainedRecord>> =
                     em_par::par_map(&self.config.parallelism, &records, |i, pair| {
-                        let record_seed = self
-                            .config
-                            .seed
-                            .wrapping_add(i as u64)
-                            .wrapping_mul(0x9E37_79B9);
                         crate::technique::explain_record(
                             technique,
                             matcher,
                             schema,
                             pair,
                             self.config.n_samples,
-                            record_seed,
+                            record_seed(self.config.seed, i),
                         )
                     });
                 let token = crate::token_eval::token_eval_views(
@@ -205,7 +199,7 @@ impl Evaluator {
                     schema,
                     &views_per_record,
                     label, // matching label -> remove positive tokens
-                    &interest_cfg,
+                    self.config.threshold,
                 );
                 TechniqueResult {
                     technique,

@@ -12,13 +12,13 @@
 //! two probabilities, and accuracy of the predicted class (both
 //! probabilities thresholded, default 0.5).
 
-use em_entity::{EntityPair, MatchModel, Schema};
+use em_entity::{MatchModel, Schema};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::removal::remove_tokens;
-use crate::technique::{explain_record, Technique};
+use crate::runner::record_seed;
 
 /// Result of the token-based evaluation on a set of records.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,9 +59,8 @@ pub struct TokenEvalConfig {
     pub removal_fraction: f64,
     /// Decision threshold (paper: 0.5, with a 0.4 sensitivity note).
     pub threshold: f64,
-    /// Perturbation samples per explanation.
-    pub n_samples: usize,
-    /// Base seed.
+    /// Base seed of the explained sample; record `i` draws its removal
+    /// subset from the runner's per-record seed for `i`.
     pub seed: u64,
 }
 
@@ -70,40 +69,13 @@ impl Default for TokenEvalConfig {
         TokenEvalConfig {
             removal_fraction: 0.25,
             threshold: 0.5,
-            n_samples: 500,
             seed: 0,
         }
     }
 }
 
-/// Runs the token-based evaluation for one technique over a set of records.
-pub fn token_eval<M: MatchModel + Sync>(
-    model: &M,
-    schema: &Schema,
-    records: &[&EntityPair],
-    technique: Technique,
-    config: &TokenEvalConfig,
-) -> TokenEvalResult {
-    let views_per_record: Vec<Vec<crate::technique::ExplainedRecord>> = records
-        .iter()
-        .enumerate()
-        .map(|(i, pair)| {
-            let record_seed = config.seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
-            explain_record(
-                technique,
-                model,
-                schema,
-                pair,
-                config.n_samples,
-                record_seed,
-            )
-        })
-        .collect();
-    token_eval_views(model, schema, &views_per_record, config)
-}
-
 /// Token-based evaluation over pre-computed explanations (one inner vec of
-/// views per record). Lets callers share explanations across evaluations.
+/// views per record), so callers share explanations across evaluations.
 pub fn token_eval_views<M: MatchModel + Sync>(
     model: &M,
     schema: &Schema,
@@ -112,8 +84,7 @@ pub fn token_eval_views<M: MatchModel + Sync>(
 ) -> TokenEvalResult {
     let mut errors: Vec<(f64, bool)> = Vec::new();
     for (i, views) in views_per_record.iter().enumerate() {
-        let record_seed = config.seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
-        let mut rng = StdRng::seed_from_u64(record_seed ^ 0xABCD);
+        let mut rng = StdRng::seed_from_u64(record_seed(config.seed, i) ^ 0xABCD);
         for view in views {
             if view.removable.is_empty() {
                 continue;
@@ -143,7 +114,8 @@ pub fn token_eval_views<M: MatchModel + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use em_entity::Entity;
+    use crate::technique::{explain_record, Technique};
+    use em_entity::{Entity, EntityPair};
 
     /// Fully linear model: probability = (# tokens in left entity) / 20,
     /// capped at 1. A faithful surrogate can represent this exactly, so
@@ -162,23 +134,32 @@ mod tests {
         Schema::from_names(vec!["name"])
     }
 
+    /// Explains `pair` once with seed 0 and evaluates the explanation at
+    /// the default configuration.
+    fn eval<M: MatchModel + Sync>(
+        model: &M,
+        pair: &EntityPair,
+        technique: Technique,
+        n_samples: usize,
+    ) -> TokenEvalResult {
+        let views = [explain_record(
+            technique,
+            model,
+            &schema(),
+            pair,
+            n_samples,
+            0,
+        )];
+        token_eval_views(model, &schema(), &views, &TokenEvalConfig::default())
+    }
+
     #[test]
     fn faithful_surrogate_scores_near_zero_mae_with_lime() {
         let pair = EntityPair::new(
             Entity::new(vec!["a b c d e f g h"]),
             Entity::new(vec!["x y z"]),
         );
-        let records = vec![&pair];
-        let r = token_eval(
-            &LinearTokenModel,
-            &schema(),
-            &records,
-            Technique::Lime,
-            &TokenEvalConfig {
-                n_samples: 600,
-                ..Default::default()
-            },
-        );
+        let r = eval(&LinearTokenModel, &pair, Technique::Lime, 600);
         assert!(r.mae < 0.05, "mae = {}", r.mae);
         assert_eq!(r.n, 1);
     }
@@ -188,17 +169,7 @@ mod tests {
         // With landmark = Right the varying (perturbed) entity is Left,
         // which is all the model looks at: that view should be faithful.
         let pair = EntityPair::new(Entity::new(vec!["a b c d e f"]), Entity::new(vec!["x y"]));
-        let records = vec![&pair];
-        let r = token_eval(
-            &LinearTokenModel,
-            &schema(),
-            &records,
-            Technique::LandmarkSingle,
-            &TokenEvalConfig {
-                n_samples: 600,
-                ..Default::default()
-            },
-        );
+        let r = eval(&LinearTokenModel, &pair, Technique::LandmarkSingle, 600);
         // Two views are averaged; the left-landmark view removes right
         // tokens which the model ignores (weights ~0, estimate = original,
         // actual = original: also accurate). So overall MAE stays small.
@@ -215,25 +186,17 @@ mod tests {
             }
         }
         let pair = EntityPair::new(Entity::new(vec!["a b c d"]), Entity::new(vec!["x"]));
-        let records = vec![&pair];
-        let r = token_eval(
-            &AlwaysLow,
-            &schema(),
-            &records,
-            Technique::Lime,
-            &TokenEvalConfig::default(),
-        );
+        let r = eval(&AlwaysLow, &pair, Technique::Lime, 500);
         assert_eq!(r.accuracy, 1.0);
         assert!(r.mae < 1e-6);
     }
 
     #[test]
     fn empty_record_list_gives_empty_result() {
-        let r = token_eval(
+        let r = token_eval_views(
             &LinearTokenModel,
             &schema(),
             &[],
-            Technique::Lime,
             &TokenEvalConfig::default(),
         );
         assert_eq!(r.n, 0);
@@ -243,25 +206,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let pair = EntityPair::new(Entity::new(vec!["a b c d e"]), Entity::new(vec!["x y z w"]));
-        let records = vec![&pair];
-        let cfg = TokenEvalConfig {
-            n_samples: 200,
-            ..Default::default()
-        };
-        let a = token_eval(
-            &LinearTokenModel,
-            &schema(),
-            &records,
-            Technique::Lime,
-            &cfg,
-        );
-        let b = token_eval(
-            &LinearTokenModel,
-            &schema(),
-            &records,
-            Technique::Lime,
-            &cfg,
-        );
+        let a = eval(&LinearTokenModel, &pair, Technique::Lime, 200);
+        let b = eval(&LinearTokenModel, &pair, Technique::Lime, 200);
         assert_eq!(a, b);
     }
 
@@ -296,13 +242,8 @@ mod tests {
                 a.intersection(&b).count() as f64 / a.union(&b).count() as f64
             }
         }
-        let records = vec![&pair];
-        let cfg = TokenEvalConfig {
-            n_samples: 400,
-            ..Default::default()
-        };
-        let lime = token_eval(&Overlap, &schema(), &records, Technique::Lime, &cfg);
-        let copy = token_eval(&Overlap, &schema(), &records, Technique::MojitoCopy, &cfg);
+        let lime = eval(&Overlap, &pair, Technique::Lime, 400);
+        let copy = eval(&Overlap, &pair, Technique::MojitoCopy, 400);
         assert!(
             copy.mae >= lime.mae,
             "copy {} vs lime {}",

@@ -77,14 +77,6 @@ impl PairExplanation {
             .collect()
     }
 
-    /// Tokens with strictly negative weight (pushing towards non-match).
-    pub fn negative_tokens(&self) -> Vec<&TokenWeight> {
-        self.token_weights
-            .iter()
-            .filter(|t| t.weight < 0.0)
-            .collect()
-    }
-
     /// Sum of `|token weight|` per attribute — the quantity the paper's
     /// attribute-based evaluation (Table 3) compares against the EM model's
     /// own attribute weights.
@@ -205,10 +197,9 @@ mod tests {
     }
 
     #[test]
-    fn positive_and_negative_partition() {
+    fn positive_tokens_keep_strictly_positive_weights() {
         let e = explanation();
         assert_eq!(e.positive_tokens().len(), 2);
-        assert_eq!(e.negative_tokens().len(), 2);
     }
 
     #[test]

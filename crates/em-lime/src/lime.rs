@@ -6,8 +6,6 @@
 //! paper identifies (random removals hit both entities and produce *null
 //! perturbations*), and which Landmark Explanation fixes one crate up.
 
-#[cfg(test)]
-use em_entity::{detokenize, Token};
 use em_entity::{tokenize_pair, EntityPair, EntitySide, MatchModel, PerturbSpec, Schema, SideSpec};
 use em_obs::{Counter, Span, Stage, Tracer};
 
@@ -113,41 +111,6 @@ impl LimeExplainer {
             surrogate_r2: fit.r2,
         }
     }
-}
-
-/// Rebuilds an [`EntityPair`] from the kept tokens of a mask — the
-/// reference implementation the prepared kernel is checked against in
-/// tests (production scoring goes through `PerturbSpec::TokenDrop`).
-///
-/// # Panics
-/// Panics if `mask.len() != features.len()` — a real assert, because a
-/// short mask would silently truncate the perturbation via `zip` and keep
-/// every unmasked trailing token in release builds.
-#[cfg(test)]
-pub(crate) fn reconstruct_pair(
-    features: &[(EntitySide, Token)],
-    mask: &[bool],
-    n_attributes: usize,
-) -> EntityPair {
-    assert_eq!(
-        features.len(),
-        mask.len(),
-        "perturbation mask length must equal the feature count"
-    );
-    let mut left_kept: Vec<Token> = Vec::new();
-    let mut right_kept: Vec<Token> = Vec::new();
-    for ((side, token), &keep) in features.iter().zip(mask) {
-        if keep {
-            match side {
-                EntitySide::Left => left_kept.push(token.clone()),
-                EntitySide::Right => right_kept.push(token.clone()),
-            }
-        }
-    }
-    EntityPair::new(
-        detokenize(&left_kept, n_attributes),
-        detokenize(&right_kept, n_attributes),
-    )
 }
 
 #[cfg(test)]
@@ -258,28 +221,6 @@ mod tests {
         })
         .explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
         assert_ne!(a.token_weights, b.token_weights);
-    }
-
-    #[test]
-    fn reconstruct_pair_keeps_only_masked_tokens() {
-        let features = vec![
-            (EntitySide::Left, Token::new(0, 0, "a")),
-            (EntitySide::Left, Token::new(0, 1, "b")),
-            (EntitySide::Right, Token::new(0, 0, "c")),
-        ];
-        let p = reconstruct_pair(&features, &[true, false, true], 1);
-        assert_eq!(p.left, Entity::new(vec!["a"]));
-        assert_eq!(p.right, Entity::new(vec!["c"]));
-    }
-
-    #[test]
-    #[should_panic(expected = "mask length")]
-    fn short_mask_panics_instead_of_truncating() {
-        let features = vec![
-            (EntitySide::Left, Token::new(0, 0, "a")),
-            (EntitySide::Right, Token::new(0, 0, "b")),
-        ];
-        reconstruct_pair(&features, &[true], 1);
     }
 
     #[test]

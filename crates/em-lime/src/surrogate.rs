@@ -2,8 +2,8 @@
 //! probabilities to a proximity-weighted linear model.
 
 use em_linalg::kernel::{cosine_distance, exponential_kernel, DEFAULT_TEXT_KERNEL_WIDTH};
-use em_linalg::lasso::{lasso_fit, LassoConfig};
-use em_linalg::ridge::{ridge_fit, RidgeConfig};
+use em_linalg::lasso::lasso_fit;
+use em_linalg::ridge::ridge_fit;
 use em_linalg::Matrix;
 
 /// Which linear solver fits the surrogate.
@@ -110,30 +110,11 @@ pub fn fit_surrogate(masks: &[Vec<bool>], probs: &[f64], config: &SurrogateConfi
 
     let (intercept, coefficients) = match config.solver {
         SurrogateSolver::Ridge { lambda } => {
-            let m = ridge_fit(
-                &x,
-                probs,
-                &weights,
-                &RidgeConfig {
-                    lambda,
-                    fit_intercept: true,
-                },
-            )
-            .expect("ridge surrogate fit");
+            let m = ridge_fit(&x, probs, &weights, lambda).expect("ridge surrogate fit");
             (m.intercept, m.coefficients)
         }
         SurrogateSolver::Lasso { lambda } => {
-            let m = lasso_fit(
-                &x,
-                probs,
-                &weights,
-                &LassoConfig {
-                    lambda,
-                    fit_intercept: true,
-                    ..Default::default()
-                },
-            )
-            .expect("lasso surrogate fit");
+            let m = lasso_fit(&x, probs, &weights, lambda).expect("lasso surrogate fit");
             (m.intercept, m.coefficients)
         }
     };

@@ -52,11 +52,6 @@ impl Cholesky {
         Ok(Cholesky { n, l })
     }
 
-    /// Dimension of the decomposed matrix.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Solves `A x = b` using the factorization.
     #[allow(clippy::needless_range_loop)] // index arithmetic mirrors the math
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {

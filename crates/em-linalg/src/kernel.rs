@@ -2,11 +2,7 @@
 //!
 //! LIME weights every perturbation sample by its similarity to the original
 //! record, using `exp(-D(x, z)² / σ²)`. For token data, `D` is the cosine
-//! distance between the binary presence vectors; for tabular data it is the
-//! euclidean distance.
-
-/// A sample-weighting kernel: maps a distance to a non-negative weight.
-pub type KernelFn = fn(f64, f64) -> f64;
+//! distance between the binary presence vectors.
 
 /// The exponential kernel `exp(-d² / width²)` used by LIME.
 #[inline]
@@ -33,16 +29,6 @@ pub fn cosine_distance(a: &[f64], b: &[f64]) -> f64 {
     }
     let c = (dot / (na.sqrt() * nb.sqrt())).clamp(-1.0, 1.0);
     1.0 - c
-}
-
-/// Euclidean distance between two vectors.
-pub fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt()
 }
 
 /// Default kernel width used by LIME for text: `0.25 * sqrt(d)` where `d` is
@@ -96,10 +82,5 @@ mod tests {
     fn cosine_distance_partial_overlap_is_between() {
         let d = cosine_distance(&[1.0, 1.0, 1.0, 1.0], &[1.0, 1.0, 0.0, 0.0]);
         assert!(d > 0.0 && d < 1.0);
-    }
-
-    #[test]
-    fn euclidean_distance_matches_manual() {
-        assert!((euclidean_distance(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-12);
     }
 }

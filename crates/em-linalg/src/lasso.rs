@@ -11,29 +11,11 @@
 
 use crate::{LinalgError, Matrix, Result};
 
-/// Configuration for [`lasso_fit`].
-#[derive(Debug, Clone, Copy)]
-pub struct LassoConfig {
-    /// L1 penalty.
-    pub lambda: f64,
-    /// Whether to fit an unpenalized intercept.
-    pub fit_intercept: bool,
-    /// Maximum number of full coordinate-descent sweeps.
-    pub max_iter: usize,
-    /// Convergence threshold on the maximum coefficient change per sweep.
-    pub tol: f64,
-}
+/// Maximum number of full coordinate-descent sweeps.
+const MAX_ITER: usize = 1000;
 
-impl Default for LassoConfig {
-    fn default() -> Self {
-        LassoConfig {
-            lambda: 0.01,
-            fit_intercept: true,
-            max_iter: 1000,
-            tol: 1e-8,
-        }
-    }
-}
+/// Convergence threshold on the maximum coefficient change per sweep.
+const TOL: f64 = 1e-8;
 
 /// A fitted lasso model.
 #[derive(Debug, Clone)]
@@ -51,16 +33,6 @@ impl LassoModel {
     pub fn predict(&self, x: &[f64]) -> f64 {
         self.intercept + crate::matrix::dot(x, &self.coefficients)
     }
-
-    /// Indices of features with non-zero coefficients.
-    pub fn active_set(&self) -> Vec<usize> {
-        self.coefficients
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c != 0.0)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 /// Soft-thresholding operator: `sign(z) * max(|z| - g, 0)`.
@@ -76,13 +48,11 @@ fn soft_threshold(z: f64, g: f64) -> f64 {
 }
 
 /// Fits weighted lasso regression with cyclic coordinate descent.
+///
+/// `lambda` is the L1 penalty on every coefficient except the intercept
+/// (negative values count as 0).
 #[allow(clippy::needless_range_loop)] // index arithmetic mirrors the math
-pub fn lasso_fit(
-    x: &Matrix,
-    y: &[f64],
-    weights: &[f64],
-    config: &LassoConfig,
-) -> Result<LassoModel> {
+pub fn lasso_fit(x: &Matrix, y: &[f64], weights: &[f64], lambda: f64) -> Result<LassoModel> {
     let n = x.rows();
     let d = x.cols();
     if n == 0 || d == 0 {
@@ -108,7 +78,7 @@ pub fn lasso_fit(
     }
 
     // Center with weighted means so the intercept is unpenalized.
-    let (x_mean, y_mean) = if config.fit_intercept {
+    let (x_mean, y_mean) = {
         let mut xm = vec![0.0; d];
         let mut ym = 0.0;
         for r in 0..n {
@@ -122,8 +92,6 @@ pub fn lasso_fit(
             *m /= wsum;
         }
         (xm, ym / wsum)
-    } else {
-        (vec![0.0; d], 0.0)
     };
 
     // Pre-compute centered columns and their weighted squared norms.
@@ -144,9 +112,9 @@ pub fn lasso_fit(
     // residual r = yc - X beta (beta starts at 0)
     let mut resid: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
 
-    let lambda = config.lambda.max(0.0);
+    let lambda = lambda.max(0.0);
     let mut iterations = 0;
-    for it in 0..config.max_iter {
+    for it in 0..MAX_ITER {
         iterations = it + 1;
         let mut max_delta: f64 = 0.0;
         for j in 0..d {
@@ -170,10 +138,10 @@ pub fn lasso_fit(
                 max_delta = max_delta.max(delta.abs());
             }
         }
-        if max_delta < config.tol {
+        if max_delta < TOL {
             break;
         }
-        if it + 1 == config.max_iter && max_delta >= config.tol * 100.0 {
+        if it + 1 == MAX_ITER && max_delta >= TOL * 100.0 {
             return Err(LinalgError::DidNotConverge {
                 iterations,
                 last_delta: max_delta,
@@ -181,11 +149,7 @@ pub fn lasso_fit(
         }
     }
 
-    let intercept = if config.fit_intercept {
-        y_mean - crate::matrix::dot(&x_mean, &beta)
-    } else {
-        0.0
-    };
+    let intercept = y_mean - crate::matrix::dot(&x_mean, &beta);
     Ok(LassoModel {
         intercept,
         coefficients: beta,
@@ -222,16 +186,7 @@ mod tests {
         let y: Vec<f64> = (0..5)
             .map(|r| 1.0 + 2.0 * x.get(r, 0) - 3.0 * x.get(r, 1))
             .collect();
-        let m = lasso_fit(
-            &x,
-            &y,
-            &ones(5),
-            &LassoConfig {
-                lambda: 1e-10,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let m = lasso_fit(&x, &y, &ones(5), 1e-10).unwrap();
         assert!((m.intercept - 1.0).abs() < 1e-4, "{m:?}");
         assert!((m.coefficients[0] - 2.0).abs() < 1e-4);
         assert!((m.coefficients[1] + 3.0).abs() < 1e-4);
@@ -241,18 +196,8 @@ mod tests {
     fn large_lambda_zeros_everything() {
         let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0]]).unwrap();
         let y = vec![0.0, 1.0, 2.0];
-        let m = lasso_fit(
-            &x,
-            &y,
-            &ones(3),
-            &LassoConfig {
-                lambda: 100.0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let m = lasso_fit(&x, &y, &ones(3), 100.0).unwrap();
         assert_eq!(m.coefficients, vec![0.0]);
-        assert!(m.active_set().is_empty());
     }
 
     #[test]
@@ -267,45 +212,17 @@ mod tests {
         ])
         .unwrap();
         let y = vec![0.0, 2.0, 4.0, 6.0, 8.0];
-        let m = lasso_fit(
-            &x,
-            &y,
-            &ones(5),
-            &LassoConfig {
-                lambda: 0.05,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let m = lasso_fit(&x, &y, &ones(5), 0.05).unwrap();
         assert!(m.coefficients[0] > 1.0, "{m:?}");
         assert_eq!(m.coefficients[1], 0.0, "{m:?}");
-        assert_eq!(m.active_set(), vec![0]);
     }
 
     #[test]
     fn weighted_samples_dominate() {
         let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![0.0], vec![1.0]]).unwrap();
         let y = vec![0.0, 1.0, 0.0, 5.0];
-        let a = lasso_fit(
-            &x,
-            &y,
-            &[10.0, 10.0, 0.01, 0.01],
-            &LassoConfig {
-                lambda: 1e-6,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let b = lasso_fit(
-            &x,
-            &y,
-            &[0.01, 0.01, 10.0, 10.0],
-            &LassoConfig {
-                lambda: 1e-6,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let a = lasso_fit(&x, &y, &[10.0, 10.0, 0.01, 0.01], 1e-6).unwrap();
+        let b = lasso_fit(&x, &y, &[0.01, 0.01, 10.0, 10.0], 1e-6).unwrap();
         assert!(a.coefficients[0] < b.coefficients[0]);
     }
 
@@ -313,16 +230,7 @@ mod tests {
     fn constant_column_gets_zero_coefficient() {
         let x = Matrix::from_rows(&[vec![1.0, 0.0], vec![1.0, 1.0], vec![1.0, 2.0]]).unwrap();
         let y = vec![0.0, 1.0, 2.0];
-        let m = lasso_fit(
-            &x,
-            &y,
-            &ones(3),
-            &LassoConfig {
-                lambda: 1e-8,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let m = lasso_fit(&x, &y, &ones(3), 1e-8).unwrap();
         assert_eq!(m.coefficients[0], 0.0);
         assert!((m.coefficients[1] - 1.0).abs() < 1e-4);
     }
@@ -330,8 +238,8 @@ mod tests {
     #[test]
     fn rejects_bad_shapes() {
         let x = Matrix::zeros(2, 1);
-        assert!(lasso_fit(&x, &[1.0], &[1.0, 1.0], &LassoConfig::default()).is_err());
-        assert!(lasso_fit(&x, &[1.0, 2.0], &[1.0], &LassoConfig::default()).is_err());
-        assert!(lasso_fit(&Matrix::zeros(0, 0), &[], &[], &LassoConfig::default()).is_err());
+        assert!(lasso_fit(&x, &[1.0], &[1.0, 1.0], 0.01).is_err());
+        assert!(lasso_fit(&x, &[1.0, 2.0], &[1.0], 0.01).is_err());
+        assert!(lasso_fit(&Matrix::zeros(0, 0), &[], &[], 0.01).is_err());
     }
 }

@@ -14,9 +14,8 @@
 //! * [logistic regression](logistic) — the entity-matching model that the
 //!   paper explains (Section 4.1 of the paper uses a Logistic Regression
 //!   classifier as the EM model);
-//! * [sample kernels](kernel) — the exponential (cosine / euclidean)
-//!   proximity kernels that weight perturbation samples;
-//! * [feature standardization](standardize).
+//! * [sample kernels](kernel) — the exponential cosine-distance
+//!   proximity kernel that weights perturbation samples.
 //!
 //! Everything is implemented from scratch on `f64`, with no third-party
 //! dependencies, and is deterministic.
@@ -30,16 +29,13 @@ pub mod lasso;
 pub mod logistic;
 pub mod matrix;
 pub mod ridge;
-pub mod standardize;
-pub mod stats;
 
 pub use cholesky::Cholesky;
-pub use kernel::{cosine_distance, euclidean_distance, exponential_kernel, KernelFn};
-pub use lasso::{lasso_fit, LassoConfig, LassoModel};
+pub use kernel::{cosine_distance, exponential_kernel};
+pub use lasso::{lasso_fit, LassoModel};
 pub use logistic::{LogisticConfig, LogisticModel};
 pub use matrix::Matrix;
-pub use ridge::{ridge_fit, RidgeConfig, RidgeModel};
-pub use standardize::Standardizer;
+pub use ridge::{ridge_fit, RidgeModel};
 
 /// Errors produced by the solvers in this crate.
 #[derive(Debug, Clone, PartialEq)]

@@ -252,17 +252,6 @@ impl Matrix {
         }
         Ok(out)
     }
-
-    /// Appends a constant column of ones on the left (intercept column).
-    pub fn with_intercept(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols + 1);
-        for r in 0..self.rows {
-            out.data[r * (self.cols + 1)] = 1.0;
-            out.data[r * (self.cols + 1) + 1..(r + 1) * (self.cols + 1)]
-                .copy_from_slice(&self.data[r * self.cols..(r + 1) * self.cols]);
-        }
-        out
-    }
 }
 
 /// Dot product of two equally-long slices.
@@ -383,14 +372,6 @@ mod tests {
         let x = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]).unwrap();
         let out = x.weighted_xty(&[2.0, 3.0], &[5.0, 7.0]).unwrap();
         assert_eq!(out, vec![10.0, 21.0]);
-    }
-
-    #[test]
-    fn with_intercept_prepends_ones() {
-        let x = Matrix::from_vec(2, 1, vec![3.0, 4.0]).unwrap();
-        let xi = x.with_intercept();
-        assert_eq!(xi.row(0), &[1.0, 3.0]);
-        assert_eq!(xi.row(1), &[1.0, 4.0]);
     }
 
     #[test]

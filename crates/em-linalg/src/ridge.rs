@@ -13,28 +13,10 @@
 
 use crate::{Cholesky, LinalgError, Matrix, Result};
 
-/// Configuration for [`ridge_fit`].
-#[derive(Debug, Clone, Copy)]
-pub struct RidgeConfig {
-    /// L2 penalty applied to all coefficients except the intercept.
-    pub lambda: f64,
-    /// Whether to fit an (unpenalized) intercept.
-    pub fit_intercept: bool,
-}
-
-impl Default for RidgeConfig {
-    fn default() -> Self {
-        RidgeConfig {
-            lambda: 1.0,
-            fit_intercept: true,
-        }
-    }
-}
-
 /// A fitted ridge model.
 #[derive(Debug, Clone)]
 pub struct RidgeModel {
-    /// Intercept term (0.0 when `fit_intercept` was false).
+    /// Intercept term.
     pub intercept: f64,
     /// Per-feature coefficients.
     pub coefficients: Vec<f64>,
@@ -46,11 +28,6 @@ impl RidgeModel {
         debug_assert_eq!(x.len(), self.coefficients.len());
         self.intercept + crate::matrix::dot(x, &self.coefficients)
     }
-
-    /// Predicts the response for every row of `x`.
-    pub fn predict_matrix(&self, x: &Matrix) -> Vec<f64> {
-        (0..x.rows()).map(|r| self.predict(x.row(r))).collect()
-    }
 }
 
 /// Fits weighted ridge regression by solving the normal equations with a
@@ -58,16 +35,13 @@ impl RidgeModel {
 ///
 /// * `x` — design matrix, one sample per row;
 /// * `y` — responses, `y.len() == x.rows()`;
-/// * `weights` — non-negative sample weights, same length as `y`.
+/// * `weights` — non-negative sample weights, same length as `y`;
+/// * `lambda` — L2 penalty on every coefficient except the intercept
+///   (negative values count as 0).
 ///
-/// With `fit_intercept`, the data is first centered with the weighted means
-/// so the intercept stays unpenalized.
-pub fn ridge_fit(
-    x: &Matrix,
-    y: &[f64],
-    weights: &[f64],
-    config: &RidgeConfig,
-) -> Result<RidgeModel> {
+/// The data is first centered with the weighted means so the intercept
+/// stays unpenalized.
+pub fn ridge_fit(x: &Matrix, y: &[f64], weights: &[f64], lambda: f64) -> Result<RidgeModel> {
     let n = x.rows();
     let d = x.cols();
     if n == 0 || d == 0 {
@@ -93,7 +67,7 @@ pub fn ridge_fit(
     }
 
     // Weighted means for centering.
-    let (x_mean, y_mean) = if config.fit_intercept {
+    let (x_mean, y_mean) = {
         let mut xm = vec![0.0; d];
         let mut ym = 0.0;
         for r in 0..n {
@@ -107,25 +81,21 @@ pub fn ridge_fit(
             *m /= wsum;
         }
         (xm, ym / wsum)
-    } else {
-        (vec![0.0; d], 0.0)
     };
 
     // Centered design matrix.
     let mut xc = x.clone();
-    if config.fit_intercept {
-        for r in 0..n {
-            let row = xc.row_mut(r);
-            for (v, m) in row.iter_mut().zip(&x_mean) {
-                *v -= m;
-            }
+    for r in 0..n {
+        let row = xc.row_mut(r);
+        for (v, m) in row.iter_mut().zip(&x_mean) {
+            *v -= m;
         }
     }
     let yc: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
 
     // Normal equations: (XᵀWX + λI) β = XᵀWy
     let mut gram = xc.weighted_gram(weights)?;
-    let lambda = config.lambda.max(0.0);
+    let lambda = lambda.max(0.0);
     // A tiny jitter keeps the system SPD even with λ = 0 and duplicate columns.
     let jitter = 1e-10;
     for i in 0..d {
@@ -136,11 +106,7 @@ pub fn ridge_fit(
     let chol = Cholesky::decompose(&gram)?;
     let coefficients = chol.solve(&rhs)?;
 
-    let intercept = if config.fit_intercept {
-        y_mean - crate::matrix::dot(&x_mean, &coefficients)
-    } else {
-        0.0
-    };
+    let intercept = y_mean - crate::matrix::dot(&x_mean, &coefficients);
     Ok(RidgeModel {
         intercept,
         coefficients,
@@ -169,16 +135,7 @@ mod tests {
         let y: Vec<f64> = (0..x.rows())
             .map(|r| 2.0 + 3.0 * x.get(r, 0) - x.get(r, 1))
             .collect();
-        let m = ridge_fit(
-            &x,
-            &y,
-            &ones(5),
-            &RidgeConfig {
-                lambda: 1e-9,
-                fit_intercept: true,
-            },
-        )
-        .unwrap();
+        let m = ridge_fit(&x, &y, &ones(5), 1e-9).unwrap();
         assert!((m.intercept - 2.0).abs() < 1e-5, "{m:?}");
         assert!((m.coefficients[0] - 3.0).abs() < 1e-5);
         assert!((m.coefficients[1] + 1.0).abs() < 1e-5);
@@ -188,26 +145,8 @@ mod tests {
     fn shrinkage_reduces_coefficient_magnitude() {
         let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0], vec![3.0]]).unwrap();
         let y = vec![0.0, 2.0, 4.0, 6.0];
-        let low = ridge_fit(
-            &x,
-            &y,
-            &ones(4),
-            &RidgeConfig {
-                lambda: 0.01,
-                fit_intercept: true,
-            },
-        )
-        .unwrap();
-        let high = ridge_fit(
-            &x,
-            &y,
-            &ones(4),
-            &RidgeConfig {
-                lambda: 100.0,
-                fit_intercept: true,
-            },
-        )
-        .unwrap();
+        let low = ridge_fit(&x, &y, &ones(4), 0.01).unwrap();
+        let high = ridge_fit(&x, &y, &ones(4), 100.0).unwrap();
         assert!(high.coefficients[0].abs() < low.coefficients[0].abs());
         assert!(low.coefficients[0] > 1.5); // close to the true slope of 2
     }
@@ -217,16 +156,7 @@ mod tests {
         let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0], vec![100.0]]).unwrap();
         let y = vec![0.0, 1.0, 2.0, -500.0]; // outlier with zero weight
         let w = vec![1.0, 1.0, 1.0, 0.0];
-        let m = ridge_fit(
-            &x,
-            &y,
-            &w,
-            &RidgeConfig {
-                lambda: 1e-6,
-                fit_intercept: true,
-            },
-        )
-        .unwrap();
+        let m = ridge_fit(&x, &y, &w, 1e-6).unwrap();
         assert!((m.coefficients[0] - 1.0).abs() < 1e-4, "{m:?}");
     }
 
@@ -235,45 +165,9 @@ mod tests {
         // Two inconsistent slopes; weighting one pair heavily should pull the fit.
         let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![0.0], vec![1.0]]).unwrap();
         let y = vec![0.0, 1.0, 0.0, 3.0];
-        let m_heavy_a = ridge_fit(
-            &x,
-            &y,
-            &[10.0, 10.0, 0.1, 0.1],
-            &RidgeConfig {
-                lambda: 1e-6,
-                fit_intercept: true,
-            },
-        )
-        .unwrap();
-        let m_heavy_b = ridge_fit(
-            &x,
-            &y,
-            &[0.1, 0.1, 10.0, 10.0],
-            &RidgeConfig {
-                lambda: 1e-6,
-                fit_intercept: true,
-            },
-        )
-        .unwrap();
+        let m_heavy_a = ridge_fit(&x, &y, &[10.0, 10.0, 0.1, 0.1], 1e-6).unwrap();
+        let m_heavy_b = ridge_fit(&x, &y, &[0.1, 0.1, 10.0, 10.0], 1e-6).unwrap();
         assert!(m_heavy_a.coefficients[0] < m_heavy_b.coefficients[0]);
-    }
-
-    #[test]
-    fn no_intercept_passes_through_origin() {
-        let x = Matrix::from_rows(&[vec![1.0], vec![2.0]]).unwrap();
-        let y = vec![2.0, 4.0];
-        let m = ridge_fit(
-            &x,
-            &y,
-            &ones(2),
-            &RidgeConfig {
-                lambda: 1e-9,
-                fit_intercept: false,
-            },
-        )
-        .unwrap();
-        assert_eq!(m.intercept, 0.0);
-        assert!((m.coefficients[0] - 2.0).abs() < 1e-5);
     }
 
     #[test]
@@ -281,16 +175,7 @@ mod tests {
         // Columns are identical -> singular Gram matrix without the ridge term.
         let x = Matrix::from_rows(&[vec![1.0, 1.0], vec![2.0, 2.0], vec![3.0, 3.0]]).unwrap();
         let y = vec![2.0, 4.0, 6.0];
-        let m = ridge_fit(
-            &x,
-            &y,
-            &ones(3),
-            &RidgeConfig {
-                lambda: 0.1,
-                fit_intercept: true,
-            },
-        )
-        .unwrap();
+        let m = ridge_fit(&x, &y, &ones(3), 0.1).unwrap();
         // The two coefficients should split the slope symmetrically.
         assert!((m.coefficients[0] - m.coefficients[1]).abs() < 1e-8);
     }
@@ -298,23 +183,13 @@ mod tests {
     #[test]
     fn rejects_mismatched_lengths() {
         let x = Matrix::zeros(3, 2);
-        assert!(ridge_fit(&x, &[1.0], &ones(3), &RidgeConfig::default()).is_err());
-        assert!(ridge_fit(&x, &[1.0, 2.0, 3.0], &[1.0], &RidgeConfig::default()).is_err());
+        assert!(ridge_fit(&x, &[1.0], &ones(3), 1.0).is_err());
+        assert!(ridge_fit(&x, &[1.0, 2.0, 3.0], &[1.0], 1.0).is_err());
     }
 
     #[test]
     fn rejects_all_zero_weights() {
         let x = Matrix::zeros(2, 1);
-        assert!(ridge_fit(&x, &[0.0, 0.0], &[0.0, 0.0], &RidgeConfig::default()).is_err());
-    }
-
-    #[test]
-    fn predict_matrix_matches_predict() {
-        let m = RidgeModel {
-            intercept: 1.0,
-            coefficients: vec![2.0, -1.0],
-        };
-        let x = Matrix::from_rows(&[vec![1.0, 1.0], vec![0.0, 3.0]]).unwrap();
-        assert_eq!(m.predict_matrix(&x), vec![2.0, -2.0]);
+        assert!(ridge_fit(&x, &[0.0, 0.0], &[0.0, 0.0], 1.0).is_err());
     }
 }

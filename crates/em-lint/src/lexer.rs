@@ -4,10 +4,8 @@
 //!
 //! The lexer is intentionally *not* a full Rust grammar. It produces a
 //! flat token stream (identifiers, punctuation, literals) annotated with
-//! line numbers, plus three per-line side tables the rules need:
+//! line numbers, plus two per-line side tables the rules need:
 //!
-//! * **doc-comment lines** (`///`, `//!`, `/** */`, `/*! */`) — consumed
-//!   by the `pub-item-docs` rule;
 //! * **annotation comments** (`// em-lint: allow(<rule>) -- <reason>` and
 //!   `// em-lint: sanitize(<rule>) -- <reason>`) — consumed by the engine
 //!   when filtering violations and by the taint pass for sanitizers;
@@ -97,8 +95,6 @@ pub struct LexedFile {
     pub tokens: Vec<Token>,
     /// Total number of lines in the file.
     pub n_lines: usize,
-    /// `doc_lines[i]` — line `i + 1` is (part of) a doc comment.
-    pub doc_lines: Vec<bool>,
     /// `code_lines[i]` — line `i + 1` carries at least one token.
     pub code_lines: Vec<bool>,
     /// All `em-lint:` suppression comments found, in file order.
@@ -129,7 +125,6 @@ impl<'a> Lexer<'a> {
             line: 1,
             out: LexedFile {
                 n_lines,
-                doc_lines: vec![false; n_lines],
                 code_lines: vec![false; n_lines],
                 ..LexedFile::default()
             },
@@ -347,20 +342,11 @@ impl<'a> Lexer<'a> {
             self.bump();
         }
         let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap_or_default();
-        // `///` and `//!` are docs; `////...` is a plain comment (rustdoc
-        // quirk), but that distinction never matters for the rules.
-        if text.starts_with("///") || text.starts_with("//!") {
-            Self::mark_line(&mut self.out.doc_lines, line);
-        }
         let had_code_before = self.out.code_lines.get(line - 1).copied().unwrap_or(false);
         self.parse_suppression(text, line, had_code_before);
     }
 
     fn block_comment(&mut self) {
-        let line = self.line;
-        let is_doc = matches!(self.peek(2), Some(b'*') | Some(b'!'))
-            // `/**/` is an empty plain comment, not a doc comment.
-            && self.peek(3) != Some(b'/');
         self.bump();
         self.bump();
         let mut depth = 1usize;
@@ -380,11 +366,6 @@ impl<'a> Lexer<'a> {
                     self.bump();
                 }
                 (None, _) => break,
-            }
-        }
-        if is_doc {
-            for l in line..=self.line {
-                Self::mark_line(&mut self.out.doc_lines, l);
             }
         }
     }
@@ -490,13 +471,6 @@ real_ident();
         assert_eq!(lexed.n_lines, 4);
         assert!(lexed.code_lines[0] && lexed.code_lines[1]);
         assert!(!lexed.code_lines[2]);
-    }
-
-    #[test]
-    fn doc_lines_are_marked() {
-        let lexed = lex("/// docs\npub fn f() {}\n// plain\n");
-        assert!(lexed.doc_lines[0]);
-        assert!(!lexed.doc_lines[2]);
     }
 
     #[test]
@@ -631,6 +605,7 @@ real_ident();
             "/* outer /* inner /* deepest */ */ */ live1();",
             "/* \"not a string */ live1(); /* trailing */",
             "/* multi\nline /* nested\n */ end */\nlive1();",
+            "/** doc a\nspans\n*/\nlive1();",
         ];
         for src in cases {
             let ids = idents(src);
@@ -654,13 +629,6 @@ real_ident();
             ids.is_empty(),
             "tokens fabricated from an open comment: {ids:?}"
         );
-    }
-
-    #[test]
-    fn block_doc_comment_inside_code_marks_doc_lines() {
-        let lexed = lex("/** doc\nspans\n*/\npub fn f() {}\n");
-        assert!(lexed.doc_lines[0] && lexed.doc_lines[1] && lexed.doc_lines[2]);
-        assert!(!lexed.doc_lines[3]);
     }
 
     #[test]

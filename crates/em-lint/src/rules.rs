@@ -14,7 +14,6 @@
 //! | `nondet-taint` | no nondeterminism source may be reachable from a determinism sink through any depth of calls |
 //! | `fsync-protocol-order` | em-batch's crash-safety commit sequence must appear in protocol order |
 //! | `panic-in-request-path` | no panic site may be reachable from a request handler: no `unwrap`/`expect`/indexing panics anywhere a request can flow |
-//! | `pub-item-docs` | public library items carry doc comments |
 
 use crate::context::{FileContext, FileKind};
 use crate::graph::Graph;
@@ -45,7 +44,6 @@ pub const RULE_NAMES: &[&str] = &[
     "hashmap-iter-order",
     "nondet-taint",
     "panic-in-request-path",
-    "pub-item-docs",
 ];
 
 /// Crates whose output is user-visible or cached, where hash-iteration
@@ -79,7 +77,6 @@ pub fn run_all(ctx: &FileContext) -> Vec<Finding> {
     let mut out = Vec::new();
     float_partial_cmp(ctx, &mut out);
     hashmap_iter_order(ctx, &mut out);
-    pub_item_docs(ctx, &mut out);
     out.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(b.rule)));
     out
 }
@@ -368,121 +365,4 @@ fn panic_sites(ctx: &FileContext, own: &[usize]) -> Vec<(usize, String)> {
         }
     }
     out
-}
-
-/// Item keywords that `pub` can introduce (after optional `unsafe` /
-/// `async` / `extern "C"` qualifiers).
-const PUB_ITEM_KEYWORDS: &[&str] = &[
-    "fn", "struct", "enum", "trait", "type", "const", "static", "union", "mod",
-];
-
-/// `pub-item-docs`: public items in library source need a doc comment
-/// (`///` or `/** */`) immediately above (attributes may intervene).
-/// Re-exports (`pub use`) and restricted visibility (`pub(crate)`, ...)
-/// are exempt, as are vendored stand-ins (their API mirrors the upstream
-/// crate, which carries the documentation).
-fn pub_item_docs(ctx: &FileContext, out: &mut Vec<Finding>) {
-    if !matches!(ctx.kind, FileKind::LibrarySrc) {
-        return;
-    }
-    let toks = ctx.tokens();
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("pub") || ctx.is_test_line(t.line) {
-            continue;
-        }
-        // `pub(crate)` / `pub(super)` / `pub(in ..)` — not public API.
-        if toks.get(i + 1).is_some_and(|t| t.is_punct('(')) {
-            continue;
-        }
-        // Skip qualifiers to the item keyword.
-        let mut j = i + 1;
-        while toks.get(j).is_some_and(|t| {
-            t.ident()
-                .is_some_and(|id| matches!(id, "unsafe" | "async" | "extern"))
-                || t.kind == TokenKind::Literal // the "C" in `extern "C"`
-        }) {
-            j += 1;
-        }
-        let Some(kw) = toks.get(j).and_then(|t| t.ident()) else {
-            continue;
-        };
-        if !PUB_ITEM_KEYWORDS.contains(&kw) {
-            continue;
-        }
-        // `pub mod name;` declarations are exempt: the module *file*
-        // carries the documentation as `//!` inner docs (the workspace
-        // idiom), which rustdoc attaches to the module.
-        if kw == "mod" && toks.get(j + 2).is_some_and(|t| t.is_punct(';')) {
-            continue;
-        }
-        let name = toks
-            .get(j + 1)
-            .and_then(|t| t.ident())
-            .unwrap_or("<unnamed>");
-        if !has_doc_above(ctx, t.line) {
-            out.push(Finding {
-                rule: "pub-item-docs",
-                line: t.line,
-                alt_line: None,
-                message: format!("public {kw} `{name}` has no doc comment"),
-            });
-        }
-    }
-}
-
-/// Whether a doc comment sits directly above `line`, allowing attribute
-/// lines (`#[derive(..)]`, possibly multi-line) and standalone em-lint
-/// annotation comments (`// em-lint: sanitize(..) -- ..` above a fn) in
-/// between.
-fn has_doc_above(ctx: &FileContext, line: usize) -> bool {
-    // Attribute lines: lines whose first token is `#`. Precompute lazily
-    // by scanning tokens of each candidate line via the token stream.
-    let mut attr_lines = vec![false; ctx.lexed.n_lines];
-    {
-        let toks = ctx.tokens();
-        let mut i = 0;
-        while i < toks.len() {
-            if toks[i].is_punct('#') && toks.get(i + 1).is_some_and(|t| t.is_punct('[')) {
-                let start = toks[i].line;
-                // Find matching `]`.
-                let mut depth = 0usize;
-                let mut j = i + 1;
-                while j < toks.len() {
-                    if toks[j].is_punct('[') {
-                        depth += 1;
-                    } else if toks[j].is_punct(']') {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    j += 1;
-                }
-                let end = toks.get(j).map_or(start, |t| t.line);
-                for l in start..=end {
-                    if let Some(s) = attr_lines.get_mut(l - 1) {
-                        *s = true;
-                    }
-                }
-                i = j;
-            }
-            i += 1;
-        }
-    }
-    let annotation_line = |l: usize| {
-        ctx.lexed
-            .suppressions
-            .iter()
-            .any(|s| !s.trailing && s.line == l)
-    };
-    let mut l = line.saturating_sub(1);
-    while l >= 1 {
-        let idx = l - 1;
-        if attr_lines.get(idx).copied().unwrap_or(false) || annotation_line(l) {
-            l -= 1;
-            continue;
-        }
-        return ctx.lexed.doc_lines.get(idx).copied().unwrap_or(false);
-    }
-    false
 }

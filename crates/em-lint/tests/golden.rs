@@ -109,8 +109,6 @@ const FIXTURES: &[(&str, &str)] = &[
         "panic-in-request-path/panic_reachable_deep.rs",
         "crates/em-serve/src/http.rs",
     ),
-    ("pub-item-docs/positive.rs", "crates/core/src/fixture.rs"),
-    ("pub-item-docs/negative.rs", "crates/core/src/fixture.rs"),
     ("suppression/combined.rs", "crates/em-serve/src/json.rs"),
 ];
 

@@ -17,14 +17,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// FNV-1a 64-bit: a stable, dependency-free string hash.
-///
-/// Delegates to `em-codec`'s hasher so the shard pick here and the ring
-/// placement in `em-route` agree on every bit of the same canonical key.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    em_codec::hash::fnv1a64(bytes)
-}
-
 struct Entry {
     body: String,
     tick: u64,
@@ -76,7 +68,9 @@ impl ShardedCache {
     }
 
     fn shard(&self, key: &str) -> &Mutex<HashMap<String, Entry>> {
-        let idx = (fnv1a(key.as_bytes()) % self.shards.len() as u64) as usize;
+        // The same hasher as em-route's ring placement, so both agree on
+        // every bit of the same canonical key.
+        let idx = (em_codec::fnv1a64(key.as_bytes()) % self.shards.len() as u64) as usize;
         &self.shards[idx] // em-lint: allow(panic-in-request-path) -- idx < shards.len() by the modulo above
     }
 
@@ -136,14 +130,6 @@ impl ShardedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_is_stable() {
-        // Reference vectors for FNV-1a 64.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b"hello"), 0xa430d84680aabd0b);
-    }
 
     #[test]
     fn get_after_insert_hits() {

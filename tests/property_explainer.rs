@@ -1,10 +1,12 @@
 //! Property-based tests for the explanation pipeline: arbitrary records
 //! never panic, weights are finite, and structural invariants hold.
 
-use landmark_explanation::entity::{Entity, EntityPair, EntitySide, MatchModel, Schema};
+use landmark_explanation::entity::{
+    Entity, EntityPair, EntitySide, MatchModel, PerturbSpec, Schema, SideSpec,
+};
 use landmark_explanation::landmark::strategy::ResolvedStrategy;
 use landmark_explanation::landmark::{
-    generate_view, reconstruct_with_landmark, GenerationStrategy, LandmarkConfig, LandmarkExplainer,
+    generate_view, GenerationStrategy, LandmarkConfig, LandmarkExplainer,
 };
 use landmark_explanation::lime::{LimeConfig, LimeExplainer};
 use proptest::prelude::*;
@@ -80,7 +82,11 @@ proptest! {
                 let view = generate_view(&p, landmark, strategy);
                 let mask: Vec<bool> =
                     (0..view.tokens.len()).map(|i| mask_bits.get(i).copied().unwrap_or(true)).collect();
-                let rec = reconstruct_with_landmark(&p, &view, &mask, 3);
+                let (left, right) = match view.varying {
+                    EntitySide::Left => (SideSpec::Varying(&view.tokens[..]), SideSpec::Fixed),
+                    EntitySide::Right => (SideSpec::Fixed, SideSpec::Varying(&view.tokens[..])),
+                };
+                let rec = PerturbSpec::TokenDrop { pair: &p, left, right }.reconstruct(&mask, 3);
                 prop_assert_eq!(rec.entity(landmark), p.entity(landmark));
             }
         }

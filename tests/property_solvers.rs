@@ -1,7 +1,7 @@
 //! Property-based tests for the numerical substrate.
 
-use landmark_explanation::linalg::lasso::{lasso_fit, LassoConfig};
-use landmark_explanation::linalg::ridge::{ridge_fit, RidgeConfig};
+use landmark_explanation::linalg::lasso::lasso_fit;
+use landmark_explanation::linalg::ridge::ridge_fit;
 use landmark_explanation::linalg::{Cholesky, Matrix};
 use proptest::prelude::*;
 
@@ -56,8 +56,8 @@ proptest! {
             .map(|(i, r)| r[0] - 0.5 * r[1] + noise[i % noise.len()])
             .collect();
         let w = vec![1.0; n];
-        let cfg = RidgeConfig { lambda: 0.5, fit_intercept: true };
-        let fit = ridge_fit(&x, &y, &w, &cfg).unwrap();
+        let lambda = 0.5;
+        let fit = ridge_fit(&x, &y, &w, lambda).unwrap();
 
         let objective = |coefs: &[f64], intercept: f64| -> f64 {
             let mut loss = 0.0;
@@ -65,7 +65,7 @@ proptest! {
                 let pred: f64 = intercept + r.iter().zip(coefs).map(|(a, b)| a * b).sum::<f64>();
                 loss += (yi - pred) * (yi - pred);
             }
-            loss + cfg.lambda * coefs.iter().map(|c| c * c).sum::<f64>()
+            loss + lambda * coefs.iter().map(|c| c * c).sum::<f64>()
         };
 
         let base = objective(&fit.coefficients, fit.intercept);
@@ -89,8 +89,8 @@ proptest! {
         let x = Matrix::from_rows(&rows).unwrap();
         let y: Vec<f64> = rows.iter().map(|r| 2.0 * r[0]).collect();
         let w = vec![1.0; n];
-        let cfg = LassoConfig { lambda: 0.05, ..Default::default() };
-        let fit = lasso_fit(&x, &y, &w, &cfg).unwrap();
+        let lambda = 0.05;
+        let fit = lasso_fit(&x, &y, &w, lambda).unwrap();
         // All coefficients finite, and the sparse solution's objective is
         // no worse than the all-zeros solution.
         let wsum = n as f64;
@@ -100,7 +100,7 @@ proptest! {
                 let pred: f64 = intercept + r.iter().zip(coefs).map(|(a, b)| a * b).sum::<f64>();
                 loss += (yi - pred) * (yi - pred);
             }
-            loss / (2.0 * wsum) + cfg.lambda * coefs.iter().map(|c| c.abs()).sum::<f64>()
+            loss / (2.0 * wsum) + lambda * coefs.iter().map(|c| c.abs()).sum::<f64>()
         };
         let mean_y = y.iter().sum::<f64>() / n as f64;
         prop_assert!(fit.coefficients.iter().all(|c| c.is_finite()));
@@ -116,7 +116,7 @@ proptest! {
         let x = Matrix::from_rows(&rows).unwrap();
         let y: Vec<f64> = rows.iter().map(|r| r[0] + r[1]).collect();
         let w = vec![1.0; rows.len()];
-        let fit = ridge_fit(&x, &y, &w, &RidgeConfig::default()).unwrap();
+        let fit = ridge_fit(&x, &y, &w, 1.0).unwrap();
         // predict(a) + predict(b) - intercept == predict(a + b)
         let a = [1.0, 2.0];
         let b = [0.5, -1.0];
