@@ -1,7 +1,5 @@
 //! One-pass reproduction report: evaluates every dataset once and prints
-//! Tables 1-4 together (three times cheaper than running the table2/3/4
-//! binaries separately, since explanations are shared across the three
-//! evaluations).
+//! Tables 1-4 together.
 //!
 //! Run with: `SCALE=1.0 RECORDS=100 SAMPLES=500 cargo run --release -p bench --bin report`
 

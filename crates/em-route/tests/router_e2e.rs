@@ -60,6 +60,9 @@ fn spawn_backend(schema: &Schema, matcher: &LogisticMatcher) -> em_serve::Server
         ServerConfig {
             parallelism: ParallelismConfig::with_threads(2),
             cache_capacity: 64,
+            // One shard: the LRU is exact, so no key in this test's
+            // small working set can be evicted by a shard collision.
+            cache_shards: 1,
             defaults: ExplainOptions::default(),
             ..Default::default()
         },
@@ -175,17 +178,28 @@ fn failover_keeps_every_answer_byte_identical() {
         "16 keyed requests should spread across >1 of 3 backends, got {distinct:?}"
     );
 
-    // Affinity: an explain repeated through the router lands on the same
-    // backend's warm cache.
-    let (path0, body0) = &requests[0];
-    let repeat = client::request(via, "POST", path0, body0).expect("repeat");
-    assert_eq!(repeat.header("x-backend"), Some(served_by[0].as_str()));
-    assert_eq!(
-        repeat.header("x-cache"),
-        Some("hit"),
-        "rerouted repeat should hit the owner's cache"
-    );
-    assert_eq!(&repeat.body, &expected[0]);
+    // Affinity: every explain repeated through the router lands on the
+    // backend that served it first and hits that backend's warm cache.
+    // A single backend would hit on every repeat, so this is the
+    // full-set form of "routed cache affinity >= single-backend".
+    for (((path, body), want), first) in requests.iter().zip(&expected).zip(&served_by) {
+        if *path != "/explain" {
+            continue;
+        }
+        let repeat = client::request(via, "POST", path, body).expect("repeat");
+        assert_eq!(repeat.status, 200, "{}", repeat.body);
+        assert_eq!(
+            repeat.header("x-backend"),
+            Some(first.as_str()),
+            "repeat routed away from its first backend"
+        );
+        assert_eq!(
+            repeat.header("x-cache"),
+            Some("hit"),
+            "rerouted repeat should hit the owner's cache"
+        );
+        assert_eq!(&repeat.body, want, "cached repeat body differs");
+    }
 
     // Router-side 400 is byte-identical to the backend's own 400: the
     // router runs the same decode, so clients can't tell who rejected.

@@ -37,7 +37,7 @@ fn main() {
     }
 
     println!(
-        "\nFull-scale sizes (paper Table 1): rerun the table1 binary:\n\
-         \tcargo run --release -p bench --bin table1"
+        "\nFull-scale sizes (paper Table 1): run the report binary:\n\
+         \tSCALE=1.0 cargo run --release -p bench --bin report"
     );
 }
