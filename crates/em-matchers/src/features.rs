@@ -8,12 +8,12 @@
 
 use em_entity::schema::AttributeKind;
 use em_entity::{EmDataset, EntityPair, Schema};
+use em_linalg::Matrix;
 use em_text::monge_elkan::monge_elkan_symmetric;
 use em_text::tokens::normalized_tokens;
-use em_text::{
-    jaccard, jaro_winkler, levenshtein_similarity, numeric_similarity, TfIdfVectorizer,
-    TfIdfVectorizerBuilder,
-};
+use em_text::{jaccard, jaro_winkler, levenshtein_similarity, numeric_similarity, TfIdfVectorizer};
+
+use crate::corpus::Corpus;
 
 /// A fitted feature extractor.
 ///
@@ -29,19 +29,23 @@ impl FeatureExtractor {
     /// Fits corpus statistics on every attribute value (both sides) of the
     /// dataset.
     pub fn fit(dataset: &EmDataset) -> Self {
-        let mut builder = TfIdfVectorizerBuilder::new();
-        for record in dataset.records() {
-            for entity in [&record.pair.left, &record.pair.right] {
-                for value in entity.values() {
-                    let toks = normalized_tokens(value);
-                    if !toks.is_empty() {
-                        builder.add_document(&toks);
-                    }
-                }
-            }
-        }
+        Self::from_corpus(Corpus::build(dataset), dataset)
+    }
+
+    /// Fits like [`FeatureExtractor::fit`] and returns every record's
+    /// feature row with it, in one corpus pass. Row `i` equals
+    /// [`FeatureExtractor::extract`] on record `i`, bit for bit.
+    pub fn fit_transform(dataset: &EmDataset) -> (Self, Matrix) {
+        let corpus = Corpus::build(dataset);
+        let rows = corpus.rows(dataset);
+        let x = Matrix::from_vec(dataset.len(), dataset.schema().len(), rows)
+            .expect("one row per record, one feature per attribute");
+        (Self::from_corpus(corpus, dataset), x)
+    }
+
+    fn from_corpus(corpus: Corpus, dataset: &EmDataset) -> Self {
         FeatureExtractor {
-            vectorizer: builder.build(),
+            vectorizer: corpus.into_vectorizer(),
             n_attributes: dataset.schema().len(),
         }
     }
@@ -113,13 +117,13 @@ fn name_similarity(left: &str, right: &str) -> f64 {
 
 /// Numeric attributes: relative numeric similarity when both sides parse,
 /// edit-distance similarity otherwise.
-fn numeric_kind_similarity(left: &str, right: &str) -> f64 {
+pub(crate) fn numeric_kind_similarity(left: &str, right: &str) -> f64 {
     numeric_similarity(left, right).unwrap_or_else(|| levenshtein_similarity(left, right))
 }
 
 /// Code attributes: exact match dominates, with a small edit-distance
 /// component for near-misses.
-fn code_similarity(left: &str, right: &str) -> f64 {
+pub(crate) fn code_similarity(left: &str, right: &str) -> f64 {
     code_similarity_norm(&left.trim().to_lowercase(), &right.trim().to_lowercase())
 }
 

@@ -6,7 +6,9 @@
 //! * [`FeatureExtractor`] — computes one composite similarity feature per
 //!   logical attribute, so the trained model has exactly one coefficient
 //!   per attribute (needed verbatim by the paper's attribute-based
-//!   evaluation, Table 3, which ranks attributes by LR weight);
+//!   evaluation, Table 3, which ranks attributes by LR weight). Training
+//!   fits it and extracts every training row in one pass over interned
+//!   token ids ([`FeatureExtractor::fit_transform`]);
 //! * [`LogisticMatcher`] — the trained classifier implementing
 //!   [`em_entity::MatchModel`];
 //! * [`NaiveBayesMatcher`] — a second model family, so explainers can be
@@ -20,8 +22,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
+mod corpus;
 pub mod evaluation;
 pub mod features;
+mod id_space;
 pub mod logistic_matcher;
 pub mod naive_bayes;
 pub mod persist;

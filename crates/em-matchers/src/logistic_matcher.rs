@@ -2,7 +2,6 @@
 
 use em_entity::{EmDataset, EntityPair, MatchModel, Schema};
 use em_linalg::logistic::{LogisticConfig, LogisticModel};
-use em_linalg::Matrix;
 
 use crate::features::FeatureExtractor;
 
@@ -46,19 +45,12 @@ impl LogisticMatcher {
     /// benchmark datasets always contain both classes.
     pub fn train(dataset: &EmDataset, config: &MatcherConfig) -> Self {
         assert!(!dataset.is_empty(), "cannot train on an empty dataset");
-        let extractor = FeatureExtractor::fit(dataset);
-        let schema = dataset.schema();
-        let rows: Vec<Vec<f64>> = dataset
-            .records()
-            .iter()
-            .map(|r| extractor.extract(schema, &r.pair))
-            .collect();
+        let (extractor, x) = FeatureExtractor::fit_transform(dataset);
         let labels: Vec<bool> = dataset.records().iter().map(|r| r.label).collect();
         assert!(
             labels.iter().any(|&l| l) && labels.iter().any(|&l| !l),
             "training data must contain both classes"
         );
-        let x = Matrix::from_rows(&rows).expect("feature rows are rectangular");
         let mut lcfg = if config.balance_classes {
             LogisticConfig::balanced_for(&labels)
         } else {

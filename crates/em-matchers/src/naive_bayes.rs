@@ -41,18 +41,16 @@ impl NaiveBayesMatcher {
     /// Panics if the dataset is empty or single-class.
     pub fn train(dataset: &EmDataset) -> Self {
         assert!(!dataset.is_empty(), "cannot train on an empty dataset");
-        let extractor = FeatureExtractor::fit(dataset);
-        let schema = dataset.schema();
-        let d = schema.len();
+        let (extractor, x) = FeatureExtractor::fit_transform(dataset);
+        let d = x.cols();
 
-        let mut match_rows: Vec<Vec<f64>> = Vec::new();
-        let mut non_rows: Vec<Vec<f64>> = Vec::new();
-        for r in dataset.records() {
-            let f = extractor.extract(schema, &r.pair);
+        let mut match_rows: Vec<&[f64]> = Vec::new();
+        let mut non_rows: Vec<&[f64]> = Vec::new();
+        for (i, r) in dataset.records().iter().enumerate() {
             if r.label {
-                match_rows.push(f);
+                match_rows.push(x.row(i));
             } else {
-                non_rows.push(f);
+                non_rows.push(x.row(i));
             }
         }
         assert!(
@@ -60,7 +58,7 @@ impl NaiveBayesMatcher {
             "training data must contain both classes"
         );
 
-        let fit_class = |rows: &[Vec<f64>]| -> Vec<Gaussian> {
+        let fit_class = |rows: &[&[f64]]| -> Vec<Gaussian> {
             (0..d)
                 .map(|j| {
                     let n = rows.len() as f64;

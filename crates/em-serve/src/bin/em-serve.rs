@@ -7,6 +7,7 @@
 //! ```
 
 use std::process::ExitCode;
+use std::time::Instant;
 
 use em_codec::ExplainOptions;
 use em_datagen::{DatasetId, MagellanBenchmark};
@@ -172,8 +173,15 @@ fn run(args: Args) -> Result<(), String> {
             LogisticMatcher::from_parts(FeatureExtractor::fit(&dataset), model)
         }
         None => {
-            eprintln!("em-serve: training logistic matcher");
-            LogisticMatcher::train(&dataset, &MatcherConfig::default())
+            let started = Instant::now();
+            let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+            eprintln!(
+                "em-serve: trained logistic matcher on {} ({} records) in {} ms",
+                args.dataset.short_name(),
+                dataset.len(),
+                started.elapsed().as_millis()
+            );
+            matcher
         }
     };
     if let Some(path) = &args.save_model {

@@ -28,6 +28,6 @@ pub use jaro::{jaro, jaro_winkler};
 pub use levenshtein::{levenshtein, levenshtein_similarity};
 pub use monge_elkan::monge_elkan;
 pub use numeric::{numeric_similarity, numeric_value_similarity, parse_number};
-pub use tfidf::{cosine_prepared, PreparedDoc, TfIdfVectorizer, TfIdfVectorizerBuilder};
+pub use tfidf::{cosine_prepared, smoothed_idf, PreparedDoc, TfIdfVectorizer};
 pub use token_sets::{dice, jaccard, overlap_coefficient};
 pub use tokens::{normalize, whitespace_tokens};

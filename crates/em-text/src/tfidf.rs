@@ -13,48 +13,13 @@
 
 use std::collections::HashMap;
 
-/// Builder that accumulates corpus documents before freezing IDF weights.
-#[derive(Debug, Default)]
-pub struct TfIdfVectorizerBuilder {
-    doc_count: usize,
-    doc_freq: HashMap<String, usize>,
-}
-
-impl TfIdfVectorizerBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one document (a token list) to the corpus statistics.
-    pub fn add_document<S: AsRef<str>>(&mut self, tokens: &[S]) {
-        self.doc_count += 1;
-        let mut seen: Vec<&str> = tokens.iter().map(AsRef::as_ref).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        for t in seen {
-            *self.doc_freq.entry(t.to_string()).or_insert(0) += 1;
-        }
-    }
-
-    /// Freezes the IDF table.
-    pub fn build(self) -> TfIdfVectorizer {
-        let n = self.doc_count.max(1) as f64;
-        let idf = self
-            // em-lint: allow(hashmap-iter-order, nondet-taint) -- per-key map from one HashMap into another; consumers only do point lookups, so iteration order cannot reach any output
-            .doc_freq
-            .into_iter()
-            .map(|(t, df)| {
-                // Smoothed IDF (scikit-learn convention): ln((1+n)/(1+df)) + 1
-                let w = ((1.0 + n) / (1.0 + df as f64)).ln() + 1.0;
-                (t, w)
-            })
-            .collect();
-        TfIdfVectorizer {
-            idf,
-            default_idf: ((1.0 + n) / 1.0).ln() + 1.0,
-        }
-    }
+/// Smoothed IDF weight of a token that occurs in `df` of `n_docs`
+/// documents (scikit-learn convention): `ln((1 + n) / (1 + df)) + 1`,
+/// with `n` floored at one document. The single definition shared by
+/// [`TfIdfVectorizer`] and callers that weight tokens by id.
+pub fn smoothed_idf(n_docs: usize, df: usize) -> f64 {
+    let n = n_docs.max(1) as f64;
+    ((1.0 + n) / (1.0 + df as f64)).ln() + 1.0
 }
 
 /// A frozen TF-IDF weighting table.
@@ -66,6 +31,22 @@ pub struct TfIdfVectorizer {
 }
 
 impl TfIdfVectorizer {
+    /// Freezes the IDF table of a corpus of `n_docs` documents from its
+    /// vocabulary: every distinct token once, with its document frequency.
+    pub fn from_vocabulary<I>(n_docs: usize, vocabulary: I) -> Self
+    where
+        I: IntoIterator<Item = (String, usize)>,
+    {
+        let idf = vocabulary
+            .into_iter()
+            .map(|(token, df)| (token, smoothed_idf(n_docs, df)))
+            .collect();
+        TfIdfVectorizer {
+            idf,
+            default_idf: smoothed_idf(n_docs, 0),
+        }
+    }
+
     /// IDF weight of a token (out-of-vocabulary tokens get the max weight).
     pub fn idf(&self, token: &str) -> f64 {
         *self.idf.get(token).unwrap_or(&self.default_idf)
@@ -226,13 +207,30 @@ mod tests {
     use super::*;
     use crate::intern::Interner;
 
+    /// Four documents: "sony camera digital", "nikon camera digital",
+    /// "leather case black", "camera lens kit".
     fn build_small_corpus() -> TfIdfVectorizer {
-        let mut b = TfIdfVectorizerBuilder::new();
-        b.add_document(&["sony", "camera", "digital"]);
-        b.add_document(&["nikon", "camera", "digital"]);
-        b.add_document(&["leather", "case", "black"]);
-        b.add_document(&["camera", "lens", "kit"]);
-        b.build()
+        let vocabulary = [
+            ("black", 1),
+            ("camera", 3),
+            ("case", 1),
+            ("digital", 2),
+            ("kit", 1),
+            ("leather", 1),
+            ("lens", 1),
+            ("nikon", 1),
+            ("sony", 1),
+        ];
+        TfIdfVectorizer::from_vocabulary(4, vocabulary.map(|(t, df)| (t.to_string(), df)))
+    }
+
+    #[test]
+    fn idf_follows_the_smoothed_formula() {
+        let v = build_small_corpus();
+        assert_eq!(v.idf("camera"), (5.0f64 / 4.0).ln() + 1.0);
+        assert_eq!(v.idf("sony"), (5.0f64 / 2.0).ln() + 1.0);
+        assert_eq!(v.idf("zzz-unknown"), 5.0f64.ln() + 1.0);
+        assert_eq!(smoothed_idf(0, 0), smoothed_idf(1, 0));
     }
 
     #[test]

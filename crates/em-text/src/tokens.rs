@@ -19,6 +19,22 @@ pub fn normalize(token: &str) -> String {
         .to_lowercase()
 }
 
+/// [`normalize`] written into a reused buffer. ASCII tokens (the common
+/// case) are lowercased in place without allocating; any other token is
+/// lowercased by `str::to_lowercase`, which keeps context-dependent rules
+/// such as final sigma.
+pub fn normalize_into<'b>(token: &str, buf: &'b mut String) -> &'b str {
+    let trimmed = token.trim_matches(|c: char| c.is_ascii_punctuation());
+    buf.clear();
+    if trimmed.is_ascii() {
+        buf.push_str(trimmed);
+        buf.make_ascii_lowercase();
+    } else {
+        buf.push_str(&trimmed.to_lowercase());
+    }
+    buf
+}
+
 /// Tokenizes and normalizes, dropping tokens that normalize to empty.
 pub fn normalized_tokens(s: &str) -> Vec<String> {
     whitespace_tokens(s)
@@ -58,6 +74,24 @@ mod tests {
     #[test]
     fn normalize_all_punctuation_becomes_empty() {
         assert_eq!(normalize("!!!"), "");
+    }
+
+    #[test]
+    fn normalize_into_equals_normalize() {
+        let mut buf = String::from("stale");
+        for t in [
+            "Sony",
+            "(camera)",
+            "'85.99,",
+            "!!!",
+            "",
+            "ΟΔΟΣ",
+            "Straße",
+            "İstanbul",
+            "ÉCLAIR!",
+        ] {
+            assert_eq!(normalize_into(t, &mut buf), normalize(t), "{t:?}");
+        }
     }
 
     #[test]

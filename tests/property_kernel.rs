@@ -9,7 +9,7 @@
 //! numeric, and punctuation-only), random logistic coefficients, random
 //! masks, every perturbation family, and both explainer layers on top.
 
-use landmark_explanation::entity::schema::{Attribute, AttributeKind};
+use landmark_explanation::entity::schema::Attribute;
 use landmark_explanation::entity::{
     tokenize_entity, EmDataset, Entity, EntityPair, EntitySide, FallbackScorer, LabeledPair,
     MatchModel, PerturbSpec, PreparedScorer, Schema, SideSpec, Token,
@@ -22,6 +22,9 @@ use landmark_explanation::linalg::logistic::LogisticModel;
 use landmark_explanation::matchers::{FeatureExtractor, LogisticMatcher, NaiveBayesMatcher};
 use proptest::prelude::*;
 
+mod strategies;
+use strategies::{attr_kind, attr_value};
+
 /// Forwards only `predict_proba`, hiding `prepare_scorer` so the default
 /// fallback (reconstruct each pair, extract features from scratch) runs.
 struct NaiveOnly<'m, M>(&'m M);
@@ -30,29 +33,6 @@ impl<M: MatchModel> MatchModel for NaiveOnly<'_, M> {
     fn predict_proba(&self, schema: &Schema, pair: &EntityPair) -> f64 {
         self.0.predict_proba(schema, pair)
     }
-}
-
-fn attr_kind() -> impl Strategy<Value = AttributeKind> {
-    prop_oneof![
-        Just(AttributeKind::Name),
-        Just(AttributeKind::Text),
-        Just(AttributeKind::Numeric),
-        Just(AttributeKind::Code),
-    ]
-}
-
-/// One attribute value: a handful of tokens drawn from words, numbers,
-/// and awkward punctuation (possibly none — empty values must work too).
-fn attr_value() -> impl Strategy<Value = String> {
-    let token = prop_oneof![
-        "[a-z]{1,5}",
-        "[0-9]{1,3}",
-        "[0-9]{1,2}\\.[0-9]{1,2}",
-        Just("n/a".to_string()),
-        Just("!!!".to_string()),
-        Just("MiXeD".to_string()),
-    ];
-    prop::collection::vec(token, 0..4).prop_map(|w| w.join(" "))
 }
 
 fn entity(n_attrs: usize) -> impl Strategy<Value = Entity> {
