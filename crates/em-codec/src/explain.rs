@@ -24,6 +24,13 @@ use landmark_core::{GenerationStrategy, LandmarkConfig, LandmarkExplainer};
 
 use crate::json::Value;
 
+/// The narrowest `kernel_width` a request may ask for. The all-ones mask
+/// that every neighbourhood starts with sits at cosine distance 0 (or a
+/// few ulps) from the record, so at any width from here up its kernel
+/// weight stays positive and the weighted surrogate fit has a non-zero
+/// total weight. Narrower widths underflow every weight to 0.
+const MIN_KERNEL_WIDTH: f64 = 1e-6;
+
 /// Which explainer a request selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExplainerKind {
@@ -192,8 +199,8 @@ pub fn decode_explain_request(
                 "kernel_width" => {
                     let w = value
                         .as_f64()
-                        .filter(|w| *w > 0.0)
-                        .ok_or("\"kernel_width\" must be a positive number")?;
+                        .filter(|w| *w >= MIN_KERNEL_WIDTH)
+                        .ok_or("\"kernel_width\" must be a number >= 1e-6")?;
                     options.kernel_width = w;
                 }
                 "solver" => {
@@ -538,6 +545,18 @@ mod tests {
             (
                 r#"{"pair": {"left": {}, "right": {}}, "config": {"wat": 1}}"#,
                 "unknown config field",
+            ),
+            (
+                r#"{"pair": {"left": {}, "right": {}}, "config": {"kernel_width": 1e-300}}"#,
+                "\"kernel_width\" must be a number >= 1e-6",
+            ),
+            (
+                r#"{"pair": {"left": {}, "right": {}}, "config": {"kernel_width": 9.99e-7}}"#,
+                "kernel_width",
+            ),
+            (
+                r#"{"pair": {"left": {}, "right": {}}, "config": {"kernel_width": -1}}"#,
+                "kernel_width",
             ),
         ] {
             let err = decode_explain_request(body, &s, &d).unwrap_err();

@@ -22,14 +22,15 @@ use crate::corpus::Corpus;
 #[derive(Debug, Clone)]
 pub struct FeatureExtractor {
     vectorizer: TfIdfVectorizer,
-    n_attributes: usize,
 }
 
 impl FeatureExtractor {
     /// Fits corpus statistics on every attribute value (both sides) of the
     /// dataset.
     pub fn fit(dataset: &EmDataset) -> Self {
-        Self::from_corpus(Corpus::build(dataset), dataset)
+        FeatureExtractor {
+            vectorizer: Corpus::build(dataset).into_vectorizer(),
+        }
     }
 
     /// Fits like [`FeatureExtractor::fit`] and returns every record's
@@ -37,41 +38,29 @@ impl FeatureExtractor {
     /// [`FeatureExtractor::extract`] on record `i`, bit for bit.
     pub fn fit_transform(dataset: &EmDataset) -> (Self, Matrix) {
         let corpus = Corpus::build(dataset);
-        let rows = corpus.rows(dataset);
+        let rows = crate::prepared::corpus_rows(dataset, &corpus);
         let x = Matrix::from_vec(dataset.len(), dataset.schema().len(), rows)
             .expect("one row per record, one feature per attribute");
-        (Self::from_corpus(corpus, dataset), x)
-    }
-
-    fn from_corpus(corpus: Corpus, dataset: &EmDataset) -> Self {
-        FeatureExtractor {
+        let extractor = FeatureExtractor {
             vectorizer: corpus.into_vectorizer(),
-            n_attributes: dataset.schema().len(),
-        }
+        };
+        (extractor, x)
     }
 
-    /// Number of features produced (= number of schema attributes).
-    pub fn n_features(&self) -> usize {
-        self.n_attributes
-    }
-
-    /// Extracts the per-attribute similarity vector for a record.
+    /// Extracts the per-attribute similarity vector for a record: one
+    /// composite similarity per schema attribute.
     pub fn extract(&self, schema: &Schema, pair: &EntityPair) -> Vec<f64> {
         (0..schema.len())
-            .map(|i| self.attribute_similarity(schema, pair, i))
+            .map(|i| {
+                let (left, right) = (pair.left.value(i), pair.right.value(i));
+                match schema.attribute(i).kind {
+                    AttributeKind::Name => name_similarity(left, right),
+                    AttributeKind::Text => self.text_similarity(left, right),
+                    AttributeKind::Numeric => numeric_kind_similarity(left, right),
+                    AttributeKind::Code => code_similarity(left, right),
+                }
+            })
             .collect()
-    }
-
-    /// The composite similarity of one attribute.
-    pub fn attribute_similarity(&self, schema: &Schema, pair: &EntityPair, idx: usize) -> f64 {
-        let left = pair.left.value(idx);
-        let right = pair.right.value(idx);
-        match schema.attribute(idx).kind {
-            AttributeKind::Name => name_similarity(left, right),
-            AttributeKind::Text => self.text_similarity(left, right),
-            AttributeKind::Numeric => numeric_kind_similarity(left, right),
-            AttributeKind::Code => code_similarity(left, right),
-        }
     }
 
     fn text_similarity(&self, left: &str, right: &str) -> f64 {
@@ -117,13 +106,13 @@ fn name_similarity(left: &str, right: &str) -> f64 {
 
 /// Numeric attributes: relative numeric similarity when both sides parse,
 /// edit-distance similarity otherwise.
-pub(crate) fn numeric_kind_similarity(left: &str, right: &str) -> f64 {
+fn numeric_kind_similarity(left: &str, right: &str) -> f64 {
     numeric_similarity(left, right).unwrap_or_else(|| levenshtein_similarity(left, right))
 }
 
 /// Code attributes: exact match dominates, with a small edit-distance
 /// component for near-misses.
-pub(crate) fn code_similarity(left: &str, right: &str) -> f64 {
+fn code_similarity(left: &str, right: &str) -> f64 {
     code_similarity_norm(&left.trim().to_lowercase(), &right.trim().to_lowercase())
 }
 
@@ -204,7 +193,6 @@ mod tests {
         let fx = FeatureExtractor::fit(&d);
         let f = fx.extract(d.schema(), &d.records()[0].pair);
         assert_eq!(f.len(), 4);
-        assert_eq!(fx.n_features(), 4);
     }
 
     #[test]

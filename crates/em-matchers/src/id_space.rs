@@ -1,8 +1,8 @@
-//! Similarity helpers over interned token ids, shared by the prepared
-//! scoring kernel ([`crate::prepared`]) and corpus-prepared training
-//! ([`crate::corpus`]).
+//! Similarity helpers over interned token ids, for the kernel's
+//! per-attribute evaluator ([`crate::prepared`]), which scores
+//! perturbations and training rows alike.
 //!
-//! Ids come from an order-preserving interning (ids ascend in
+//! Ids come from [`em_text::intern::TokenIds`] (ids ascend in
 //! byte-lexicographic string order), so each helper performs the same
 //! f64 operations as its string counterpart in [`em_text`] and returns the
 //! same bits (DESIGN.md §11).

@@ -11,13 +11,17 @@
 //! mask-invariant work into a one-time preparation step and scores each
 //! mask with integer id merges over reusable buffers.
 //!
+//! Training runs the same per-attribute evaluator with both sides fixed,
+//! over the token ids the training corpus interned once for the whole
+//! dataset (`corpus_rows`).
+//!
 //! **Bit-identity.** Every per-mask computation here replays the *exact*
 //! floating-point operation sequence of
 //! [`FeatureExtractor::extract`](crate::FeatureExtractor) on the
 //! reconstructed pair:
 //!
 //! * interned token ids ascend in byte-lexicographic string order
-//!   ([`Interner`]), so sorted-id merges visit (and sum) entries in the
+//!   ([`TokenIds`]), so sorted-id merges visit (and sum) entries in the
 //!   same order as the sorted-string merges of the naive TF-IDF path;
 //! * Jaccard counts are integers either way; the final division uses the
 //!   same two casts;
@@ -27,43 +31,78 @@
 //!   (a space always flushes the current number fragment), and the blend /
 //!   fallback helpers are shared functions, not re-implementations.
 //!
-//! The property suite (`tests/property_kernel.rs`) and the
-//! `kernel_speedup` bench assert the resulting probabilities equal the
-//! naive path's bit for bit.
+//! The property suites (`tests/property_kernel.rs`,
+//! `tests/property_training.rs`) and the `kernel_speedup` bench assert the
+//! resulting probabilities and training rows equal the naive path's bit
+//! for bit.
+
+use std::collections::HashMap;
 
 use em_entity::prepared::{PerturbSpec, PreparedScorer, SideSpec};
 use em_entity::schema::AttributeKind;
-use em_entity::{EntityPair, EntitySide, Schema};
+use em_entity::{EmDataset, Entity, EntityPair, EntitySide, Schema};
 use em_linalg::logistic::LogisticModel;
-use em_text::intern::Interner;
+use em_text::intern::TokenIds;
 use em_text::tfidf::{cosine_prepared, PreparedDoc};
-use em_text::tokens::{normalize, normalized_tokens};
 use em_text::{jaro_winkler, levenshtein_similarity, numeric_value_similarity, parse_number};
 
+use crate::corpus::Corpus;
 use crate::features::{code_similarity_norm, combine_name, combine_text, FeatureExtractor};
 use crate::id_space::{jaccard_ids, monge_elkan_matrix};
 use crate::logistic_matcher::LogisticMatcher;
 use crate::naive_bayes::NaiveBayesMatcher;
 
+/// A side frozen at one attribute value: everything here is computed
+/// once and valid for every mask. Only what the attribute's kind reads is
+/// computed.
+#[derive(Debug, Default)]
+struct Frozen<'a> {
+    /// The attribute value, exactly as `predict_proba` sees it.
+    raw: &'a str,
+    /// Normalized token ids in token order (the Monge-Elkan sequence).
+    ids: Vec<u32>,
+    /// `ids` sorted ascending (Name, Text: the Jaccard / TF-IDF form).
+    sorted_ids: Vec<u32>,
+    /// Prepared TF-IDF document (Text).
+    doc: PreparedDoc,
+    /// `parse_number(raw)` (Numeric).
+    parsed: Option<f64>,
+    /// `raw.trim().to_lowercase()` (Code).
+    code_norm: String,
+}
+
+impl<'a> Frozen<'a> {
+    /// Freezes the side at value `raw` of a `kind` attribute, whose
+    /// normalized token ids in token order are `ids`, reusing the buffers
+    /// of the value frozen before.
+    fn set(&mut self, kind: AttributeKind, raw: &'a str, ids: &[u32], idf_by_id: &[f64]) {
+        self.raw = raw;
+        self.ids.clear();
+        self.ids.extend_from_slice(ids);
+        self.sorted_ids.clear();
+        if matches!(kind, AttributeKind::Name | AttributeKind::Text) {
+            self.sorted_ids.extend_from_slice(ids);
+            self.sorted_ids.sort_unstable();
+        }
+        if kind == AttributeKind::Text {
+            self.doc
+                .rebuild_from_sorted_ids(&self.sorted_ids, idf_by_id);
+        }
+        self.parsed = match kind {
+            AttributeKind::Numeric => parse_number(raw),
+            _ => None,
+        };
+        if kind == AttributeKind::Code {
+            self.code_norm = raw.trim().to_lowercase();
+        }
+    }
+}
+
 /// Mask-invariant state for one side of one attribute.
 #[derive(Debug)]
 enum SideState<'a> {
-    /// Frozen side: every value below is computed once and valid for all
-    /// masks.
-    Fixed {
-        /// The original attribute value, exactly as `predict_proba` sees it.
-        raw: &'a str,
-        /// Number of normalized tokens (the Monge-Elkan sequence length).
-        n_norm: usize,
-        /// Normalized token ids, sorted ascending (Jaccard / TF-IDF form).
-        sorted_ids: Vec<u32>,
-        /// Prepared TF-IDF document.
-        doc: PreparedDoc,
-        /// `parse_number(raw)`.
-        parsed: Option<f64>,
-        /// `raw.trim().to_lowercase()` (Code-kind comparison form).
-        code_norm: String,
-    },
+    /// Frozen side: the same value for every mask.
+    Fixed(Frozen<'a>),
     /// Mask-varying side: per-token state, filtered by the mask per call.
     Varying {
         /// Global mask-bit index of each of this attribute's tokens, in
@@ -72,10 +111,11 @@ enum SideState<'a> {
         /// Raw token texts, in token order (joining kept texts with `' '`
         /// reproduces the detokenized attribute value).
         raw: Vec<&'a str>,
-        /// `(local token index, normalized id)` for tokens whose
-        /// normalization is non-empty, in token order — the Monge-Elkan
-        /// sequence.
-        norm_pos: Vec<(usize, u32)>,
+        /// Normalized ids of the tokens whose normalization is non-empty,
+        /// in token order — the Monge-Elkan sequence.
+        ids: Vec<u32>,
+        /// Local token index of each entry of `ids`.
+        norm_local: Vec<usize>,
         /// `parse_number(token)` per token, in token order.
         parsed: Vec<Option<f64>>,
         /// Lowercased token texts, in token order (Code-kind form).
@@ -83,7 +123,71 @@ enum SideState<'a> {
     },
 }
 
-impl SideState<'_> {
+impl<'a> SideState<'a> {
+    /// One side of attribute `attr` in a token-drop family. `ids` holds
+    /// the side's `(attribute, normalized id)` per token, in token order
+    /// (`None` where a token normalizes to empty); a varying side's mask
+    /// bits start at `offset`.
+    fn prepare(
+        kind: AttributeKind,
+        spec: &SideSpec<'a>,
+        entity: &'a Entity,
+        ids: &[(usize, Option<u32>)],
+        attr: usize,
+        offset: usize,
+        idf_by_id: &[f64],
+    ) -> Self {
+        match spec {
+            SideSpec::Fixed => {
+                let ids: Vec<u32> = ids
+                    .iter()
+                    .filter(|&&(a, _)| a == attr)
+                    .filter_map(|&(_, id)| id)
+                    .collect();
+                let mut frozen = Frozen::default();
+                frozen.set(kind, entity.value(attr), &ids, idf_by_id);
+                SideState::Fixed(frozen)
+            }
+            SideSpec::Varying(tokens) => {
+                let mut feat_idx = Vec::new();
+                let mut raw: Vec<&'a str> = Vec::new();
+                let mut norm_ids = Vec::new();
+                let mut norm_local = Vec::new();
+                let mut parsed = Vec::new();
+                let mut lower = Vec::new();
+                for (global, (token, &(_, id))) in tokens.iter().zip(ids).enumerate() {
+                    if token.attribute != attr {
+                        continue;
+                    }
+                    if let Some(id) = id {
+                        norm_ids.push(id);
+                        norm_local.push(raw.len());
+                    }
+                    feat_idx.push(offset + global);
+                    raw.push(token.text.as_str());
+                    parsed.push(parse_number(&token.text));
+                    lower.push(token.text.to_lowercase());
+                }
+                SideState::Varying {
+                    feat_idx,
+                    raw,
+                    ids: norm_ids,
+                    norm_local,
+                    parsed,
+                    lower,
+                }
+            }
+        }
+    }
+
+    /// Every normalized token id in token order, mask ignored.
+    fn ids(&self) -> &[u32] {
+        match self {
+            SideState::Fixed(frozen) => &frozen.ids,
+            SideState::Varying { ids, .. } => ids,
+        }
+    }
+
     /// Collects the mask-surviving normalized tokens: `seq` gets their
     /// positions in this side's Monge-Elkan sequence (ascending), `ids`
     /// their interned ids sorted ascending (duplicates preserved).
@@ -91,16 +195,17 @@ impl SideState<'_> {
         seq.clear();
         ids.clear();
         match self {
-            SideState::Fixed {
-                n_norm, sorted_ids, ..
-            } => {
-                seq.extend(0..*n_norm);
-                ids.extend_from_slice(sorted_ids);
+            SideState::Fixed(frozen) => {
+                seq.extend(0..frozen.ids.len());
+                ids.extend_from_slice(&frozen.sorted_ids);
             }
             SideState::Varying {
-                feat_idx, norm_pos, ..
+                feat_idx,
+                ids: all,
+                norm_local,
+                ..
             } => {
-                for (k, (local, id)) in norm_pos.iter().enumerate() {
+                for (k, (local, id)) in norm_local.iter().zip(all).enumerate() {
                     if mask[feat_idx[*local]] {
                         seq.push(k);
                         ids.push(*id);
@@ -120,7 +225,7 @@ impl SideState<'_> {
         idf_by_id: &[f64],
     ) -> &'s PreparedDoc {
         match self {
-            SideState::Fixed { doc, .. } => doc,
+            SideState::Fixed(frozen) => &frozen.doc,
             SideState::Varying { .. } => {
                 buf.rebuild_from_sorted_ids(sorted_ids, idf_by_id);
                 buf
@@ -133,7 +238,7 @@ impl SideState<'_> {
     /// flushes the current number fragment).
     fn numeric_value(&self, mask: &[bool]) -> Option<f64> {
         match self {
-            SideState::Fixed { parsed, .. } => *parsed,
+            SideState::Fixed(frozen) => frozen.parsed,
             SideState::Varying {
                 feat_idx, parsed, ..
             } => {
@@ -153,19 +258,8 @@ impl SideState<'_> {
     /// space; the fixed side returns the original value by reference).
     fn raw_value<'s>(&'s self, mask: &[bool], buf: &'s mut String) -> &'s str {
         match self {
-            SideState::Fixed { raw, .. } => raw,
-            SideState::Varying { feat_idx, raw, .. } => {
-                buf.clear();
-                for (local, text) in raw.iter().enumerate() {
-                    if mask[feat_idx[local]] {
-                        if !buf.is_empty() {
-                            buf.push(' ');
-                        }
-                        buf.push_str(text);
-                    }
-                }
-                buf
-            }
+            SideState::Fixed(frozen) => frozen.raw,
+            SideState::Varying { feat_idx, raw, .. } => join_kept(raw, feat_idx, mask, buf),
         }
     }
 
@@ -175,26 +269,36 @@ impl SideState<'_> {
     /// has no edge whitespace).
     fn code_value<'s>(&'s self, mask: &[bool], buf: &'s mut String) -> &'s str {
         match self {
-            SideState::Fixed { code_norm, .. } => code_norm,
+            SideState::Fixed(frozen) => &frozen.code_norm,
             SideState::Varying {
                 feat_idx, lower, ..
-            } => {
-                buf.clear();
-                for (local, text) in lower.iter().enumerate() {
-                    if mask[feat_idx[local]] {
-                        if !buf.is_empty() {
-                            buf.push(' ');
-                        }
-                        buf.push_str(text);
-                    }
-                }
-                buf
-            }
+            } => join_kept(lower, feat_idx, mask, buf),
         }
     }
 }
 
-/// Mask-invariant state for one attribute.
+/// The mask-kept entries of `texts` (token `i` is kept iff
+/// `mask[feat_idx[i]]`), joined by a space into `buf`.
+fn join_kept<'s>(
+    texts: &[impl AsRef<str>],
+    feat_idx: &[usize],
+    mask: &[bool],
+    buf: &'s mut String,
+) -> &'s str {
+    buf.clear();
+    for (text, &bit) in texts.iter().zip(feat_idx) {
+        if mask[bit] {
+            if !buf.is_empty() {
+                buf.push(' ');
+            }
+            buf.push_str(text.as_ref());
+        }
+    }
+    buf
+}
+
+/// Mask-invariant state for one attribute: the kernel's per-attribute
+/// evaluator.
 #[derive(Debug)]
 struct AttrState<'a> {
     kind: AttributeKind,
@@ -204,8 +308,102 @@ struct AttrState<'a> {
     /// side's full normalized-token sequence (rows) and the right side's
     /// (columns). Empty for other kinds.
     jw: Vec<f64>,
-    /// Column count of `jw`.
-    ncols: usize,
+}
+
+impl<'a> AttrState<'a> {
+    /// Prepares a `kind` attribute; `jaro(l, r)` is the Jaro-Winkler
+    /// similarity of the tokens with ids `l` and `r`.
+    fn new(
+        kind: AttributeKind,
+        left: SideState<'a>,
+        right: SideState<'a>,
+        jaro: impl FnMut(u32, u32) -> f64,
+    ) -> Self {
+        let mut attr = AttrState {
+            kind,
+            left,
+            right,
+            jw: Vec::new(),
+        };
+        attr.fill_jw(jaro);
+        attr
+    }
+
+    /// Re-freezes both sides, which must be fixed, at another record's
+    /// `(value, ids)` pairs (see [`Frozen::set`]), reusing every buffer.
+    fn refreeze(
+        &mut self,
+        left: (&'a str, &[u32]),
+        right: (&'a str, &[u32]),
+        idf_by_id: &[f64],
+        jaro: impl FnMut(u32, u32) -> f64,
+    ) {
+        for (side, (raw, ids)) in [(&mut self.left, left), (&mut self.right, right)] {
+            let SideState::Fixed(frozen) = side else {
+                unreachable!("only fixed sides are re-frozen");
+            };
+            frozen.set(self.kind, raw, ids, idf_by_id);
+        }
+        self.fill_jw(jaro);
+    }
+
+    /// Recomputes the Jaro-Winkler matrix from both sides' ids.
+    fn fill_jw(&mut self, mut jaro: impl FnMut(u32, u32) -> f64) {
+        self.jw.clear();
+        // The matrix is only consulted for Name attributes; skip the
+        // quadratic work everywhere else.
+        if self.kind == AttributeKind::Name {
+            let (l_ids, r_ids) = (self.left.ids(), self.right.ids());
+            for &l in l_ids {
+                for &r in r_ids {
+                    self.jw.push(jaro(l, r));
+                }
+            }
+        }
+    }
+
+    /// The attribute's feature under `mask`, bit-identical to extracting
+    /// it from the reconstructed pair.
+    fn evaluate(&self, mask: &[bool], scratch: &mut Scratch, idf_by_id: &[f64]) -> f64 {
+        match self.kind {
+            AttributeKind::Name | AttributeKind::Text => {
+                self.left
+                    .gather_norm(mask, &mut scratch.l_seq, &mut scratch.l_ids);
+                self.right
+                    .gather_norm(mask, &mut scratch.r_seq, &mut scratch.r_ids);
+                let jac = jaccard_ids(&scratch.l_ids, &scratch.r_ids);
+                if self.kind == AttributeKind::Name {
+                    let ncols = self.right.ids().len();
+                    let me = monge_elkan_matrix(&scratch.l_seq, &scratch.r_seq, &self.jw, ncols);
+                    combine_name(jac, me)
+                } else {
+                    let ld = self.left.doc(&scratch.l_ids, &mut scratch.l_doc, idf_by_id);
+                    let rd = self
+                        .right
+                        .doc(&scratch.r_ids, &mut scratch.r_doc, idf_by_id);
+                    combine_text(cosine_prepared(ld, rd), jac)
+                }
+            }
+            AttributeKind::Numeric => {
+                match (
+                    self.left.numeric_value(mask),
+                    self.right.numeric_value(mask),
+                ) {
+                    (Some(x), Some(y)) => numeric_value_similarity(x, y),
+                    _ => {
+                        let l = self.left.raw_value(mask, &mut scratch.l_str);
+                        let r = self.right.raw_value(mask, &mut scratch.r_str);
+                        levenshtein_similarity(l, r)
+                    }
+                }
+            }
+            AttributeKind::Code => {
+                let l = self.left.code_value(mask, &mut scratch.l_str);
+                let r = self.right.code_value(mask, &mut scratch.r_str);
+                code_similarity_norm(l, r)
+            }
+        }
+    }
 }
 
 /// Reusable per-mask buffers: one allocation set per scorer, reused for
@@ -223,42 +421,31 @@ struct Scratch {
     features: Vec<f64>,
 }
 
-/// Prepared per-record state for a token-drop perturbation family.
+/// Prepared feature computation for any [`PerturbSpec`], shared by both
+/// matcher kernels.
 #[derive(Debug)]
-struct PreparedTokenDrop<'a> {
-    mask_len: usize,
-    attrs: Vec<AttrState<'a>>,
-    idf_by_id: Vec<f64>,
+enum PreparedFamily<'a> {
+    /// Token drop (Landmark, LIME): one evaluator per attribute, over ids
+    /// weighted by `idf_by_id`.
+    TokenDrop {
+        attrs: Vec<AttrState<'a>>,
+        idf_by_id: Vec<f64>,
+    },
+    /// Attribute copy (Mojito copy): every attribute can only take two
+    /// values — its original similarity or its fully-copied similarity —
+    /// so scoring a mask is pure selection.
+    AttrCopy { kept: Vec<f64>, copied: Vec<f64> },
 }
 
-impl<'a> PreparedTokenDrop<'a> {
-    fn new(
+impl<'a> PreparedFamily<'a> {
+    /// Prepares a token-drop family.
+    fn token_drop(
         extractor: &FeatureExtractor,
         schema: &Schema,
         pair: &'a EntityPair,
         left: &SideSpec<'a>,
         right: &SideSpec<'a>,
     ) -> Self {
-        // Pass 1: normalize every token of both sides once and intern the
-        // union, so ids are shared (and comparable) across sides.
-        let mut all_norms: Vec<String> = Vec::new();
-        let mut side_norms = |spec: &SideSpec<'a>, side: EntitySide| match spec {
-            SideSpec::Fixed => {
-                for i in 0..schema.len() {
-                    all_norms.extend(normalized_tokens(pair.entity(side).value(i)));
-                }
-            }
-            SideSpec::Varying(tokens) => {
-                for t in tokens.iter() {
-                    let n = normalize(&t.text);
-                    if !n.is_empty() {
-                        all_norms.push(n);
-                    }
-                }
-            }
-        };
-        side_norms(left, EntitySide::Left);
-        side_norms(right, EntitySide::Right);
         for spec in [left, right] {
             if let SideSpec::Varying(tokens) = spec {
                 for t in tokens.iter() {
@@ -272,248 +459,95 @@ impl<'a> PreparedTokenDrop<'a> {
                 }
             }
         }
-        let interner = Interner::from_tokens(all_norms);
-        let idf_by_id = extractor.vectorizer().idf_by_id(&interner);
+        // Pass 1: normalize every token of both sides once and intern it,
+        // so ids are shared (and comparable) across sides. A side becomes
+        // one `(attribute, id)` per token, in token order; the id is `None`
+        // where the token normalizes to empty.
+        let mut interning = TokenIds::default();
+        let mut intern_side = |side: EntitySide, spec: &SideSpec| -> Vec<(usize, Option<u32>)> {
+            let entity = pair.entity(side);
+            match spec {
+                SideSpec::Fixed => (0..schema.len())
+                    .flat_map(|a| entity.value(a).split_whitespace().map(move |t| (a, t)))
+                    .map(|(a, text)| (a, interning.id(text)))
+                    .collect(),
+                SideSpec::Varying(tokens) => tokens
+                    .iter()
+                    .map(|t| (t.attribute, interning.id(&t.text)))
+                    .collect(),
+            }
+        };
+        let mut l_ids = intern_side(EntitySide::Left, left);
+        let mut r_ids = intern_side(EntitySide::Right, right);
+        let (vocabulary, remap) = interning.into_sorted();
+        for (_, id) in l_ids.iter_mut().chain(&mut r_ids) {
+            if let Some(id) = id {
+                *id = remap[*id as usize];
+            }
+        }
+        let vectorizer = extractor.vectorizer();
+        let idf_by_id: Vec<f64> = vocabulary.iter().map(|t| vectorizer.idf(t)).collect();
 
         // Pass 2: per-attribute, per-side mask-invariant state.
-        let left_offset = 0;
         let right_offset = left.token_count();
-        let mut attrs = Vec::with_capacity(schema.len());
-        for i in 0..schema.len() {
-            let kind = schema.attribute(i).kind;
-            let (l_state, l_norm_ids) = build_side(
-                pair,
-                EntitySide::Left,
-                left,
-                i,
-                left_offset,
-                &interner,
-                &idf_by_id,
-            );
-            let (r_state, r_norm_ids) = build_side(
-                pair,
-                EntitySide::Right,
-                right,
-                i,
-                right_offset,
-                &interner,
-                &idf_by_id,
-            );
-            // The Jaro-Winkler matrix is only consulted for Name
-            // attributes; skip the quadratic work everywhere else.
-            let (jw, ncols) = if kind == AttributeKind::Name {
-                let ncols = r_norm_ids.len();
-                let mut jw = Vec::with_capacity(l_norm_ids.len() * ncols);
-                for &li in &l_norm_ids {
-                    for &ri in &r_norm_ids {
-                        jw.push(jaro_winkler(interner.get(li), interner.get(ri)));
-                    }
-                }
-                (jw, ncols)
-            } else {
-                (Vec::new(), 0)
-            };
-            attrs.push(AttrState {
-                kind,
-                left: l_state,
-                right: r_state,
-                jw,
-                ncols,
-            });
-        }
-        PreparedTokenDrop {
-            mask_len: left.token_count() + right.token_count(),
-            attrs,
-            idf_by_id,
-        }
-    }
-
-    /// Computes the feature vector for one mask into `scratch.features`,
-    /// bit-identical to extracting from the reconstructed pair.
-    fn features<'s>(&self, mask: &[bool], scratch: &'s mut Scratch) -> &'s [f64] {
-        assert_eq!(
-            mask.len(),
-            self.mask_len,
-            "perturbation mask length must equal the spec's mask length"
-        );
-        scratch.features.clear();
-        for attr in &self.attrs {
-            let value = match attr.kind {
-                AttributeKind::Name => {
-                    attr.left
-                        .gather_norm(mask, &mut scratch.l_seq, &mut scratch.l_ids);
-                    attr.right
-                        .gather_norm(mask, &mut scratch.r_seq, &mut scratch.r_ids);
-                    let jac = jaccard_ids(&scratch.l_ids, &scratch.r_ids);
-                    let me =
-                        monge_elkan_matrix(&scratch.l_seq, &scratch.r_seq, &attr.jw, attr.ncols);
-                    combine_name(jac, me)
-                }
-                AttributeKind::Text => {
-                    attr.left
-                        .gather_norm(mask, &mut scratch.l_seq, &mut scratch.l_ids);
-                    attr.right
-                        .gather_norm(mask, &mut scratch.r_seq, &mut scratch.r_ids);
-                    let ld = attr
-                        .left
-                        .doc(&scratch.l_ids, &mut scratch.l_doc, &self.idf_by_id);
-                    let rd = attr
-                        .right
-                        .doc(&scratch.r_ids, &mut scratch.r_doc, &self.idf_by_id);
-                    let tfidf = cosine_prepared(ld, rd);
-                    let jac = jaccard_ids(&scratch.l_ids, &scratch.r_ids);
-                    combine_text(tfidf, jac)
-                }
-                AttributeKind::Numeric => {
-                    match (
-                        attr.left.numeric_value(mask),
-                        attr.right.numeric_value(mask),
-                    ) {
-                        (Some(x), Some(y)) => numeric_value_similarity(x, y),
-                        _ => {
-                            let l = attr.left.raw_value(mask, &mut scratch.l_str);
-                            let r = attr.right.raw_value(mask, &mut scratch.r_str);
-                            levenshtein_similarity(l, r)
-                        }
-                    }
-                }
-                AttributeKind::Code => {
-                    let l = attr.left.code_value(mask, &mut scratch.l_str);
-                    let r = attr.right.code_value(mask, &mut scratch.r_str);
-                    code_similarity_norm(l, r)
-                }
-            };
-            scratch.features.push(value);
-        }
-        &scratch.features
-    }
-}
-
-/// Builds one side of one attribute; also returns the side's full
-/// normalized-id sequence (in token order) for the Jaro-Winkler matrix.
-fn build_side<'a>(
-    pair: &'a EntityPair,
-    side: EntitySide,
-    spec: &SideSpec<'a>,
-    attr: usize,
-    offset: usize,
-    interner: &Interner,
-    idf_by_id: &[f64],
-) -> (SideState<'a>, Vec<u32>) {
-    let intern_id = |norm: &str| -> u32 {
-        interner
-            .id(norm)
-            .expect("every normalized token was interned in pass 1")
-    };
-    match spec {
-        SideSpec::Fixed => {
-            let raw = pair.entity(side).value(attr);
-            let norm_ids: Vec<u32> = normalized_tokens(raw)
-                .iter()
-                .map(|t| intern_id(t))
-                .collect();
-            let mut sorted_ids = norm_ids.clone();
-            sorted_ids.sort_unstable();
-            let mut doc = PreparedDoc::default();
-            doc.rebuild_from_sorted_ids(&sorted_ids, idf_by_id);
-            let state = SideState::Fixed {
-                raw,
-                n_norm: norm_ids.len(),
-                sorted_ids,
-                doc,
-                parsed: parse_number(raw),
-                code_norm: raw.trim().to_lowercase(),
-            };
-            (state, norm_ids)
-        }
-        SideSpec::Varying(tokens) => {
-            let mut feat_idx = Vec::new();
-            let mut raw: Vec<&'a str> = Vec::new();
-            let mut norm_pos = Vec::new();
-            let mut parsed = Vec::new();
-            let mut lower = Vec::new();
-            let mut norm_ids = Vec::new();
-            for (global, token) in tokens.iter().enumerate() {
-                if token.attribute != attr {
-                    continue;
-                }
-                let local = raw.len();
-                feat_idx.push(offset + global);
-                raw.push(token.text.as_str());
-                parsed.push(parse_number(&token.text));
-                lower.push(token.text.to_lowercase());
-                let norm = normalize(&token.text);
-                if !norm.is_empty() {
-                    let id = intern_id(&norm);
-                    norm_pos.push((local, id));
-                    norm_ids.push(id);
-                }
-            }
-            let state = SideState::Varying {
-                feat_idx,
-                raw,
-                norm_pos,
-                parsed,
-                lower,
-            };
-            (state, norm_ids)
-        }
-    }
-}
-
-/// Prepared state for an attribute-copy (Mojito copy) family: every
-/// attribute can only take two values — its original similarity or its
-/// fully-copied similarity — so scoring a mask is pure selection.
-#[derive(Debug)]
-struct PreparedAttrCopy {
-    kept: Vec<f64>,
-    copied: Vec<f64>,
-}
-
-impl PreparedAttrCopy {
-    fn new(
-        extractor: &FeatureExtractor,
-        schema: &Schema,
-        pair: &EntityPair,
-        copy_into: EntitySide,
-    ) -> Self {
-        let kept: Vec<f64> = (0..schema.len())
-            .map(|i| extractor.attribute_similarity(schema, pair, i))
+        let attrs = (0..schema.len())
+            .map(|a| {
+                let kind = schema.attribute(a).kind;
+                AttrState::new(
+                    kind,
+                    SideState::prepare(kind, left, &pair.left, &l_ids, a, 0, &idf_by_id),
+                    SideState::prepare(
+                        kind,
+                        right,
+                        &pair.right,
+                        &r_ids,
+                        a,
+                        right_offset,
+                        &idf_by_id,
+                    ),
+                    |l, r| jaro_winkler(&vocabulary[l as usize], &vocabulary[r as usize]),
+                )
+            })
             .collect();
-        let mut copied_pair = pair.clone();
-        let source = copy_into.other();
-        for i in 0..schema.len() {
-            let value = pair.entity(source).value(i).to_string();
-            copied_pair.entity_mut(copy_into).set_value(i, value);
-        }
-        let copied: Vec<f64> = (0..schema.len())
-            .map(|i| extractor.attribute_similarity(schema, &copied_pair, i))
-            .collect();
-        PreparedAttrCopy { kept, copied }
-    }
-
-    fn features<'s>(&self, mask: &[bool], scratch: &'s mut Scratch) -> &'s [f64] {
-        assert_eq!(
-            mask.len(),
-            self.kept.len(),
-            "perturbation mask length must equal the spec's mask length"
-        );
-        scratch.features.clear();
-        for (i, &keep) in mask.iter().enumerate() {
-            scratch
-                .features
-                .push(if keep { self.kept[i] } else { self.copied[i] });
-        }
-        &scratch.features
+        PreparedFamily::TokenDrop { attrs, idf_by_id }
     }
 }
 
-/// Prepared feature computation for any [`PerturbSpec`], shared by both
-/// matcher kernels.
-#[derive(Debug)]
-enum PreparedFamily<'a> {
-    TokenDrop(PreparedTokenDrop<'a>),
-    AttrCopy(PreparedAttrCopy),
+/// Every training record's feature row, row-major, from the kernel's
+/// per-attribute evaluator with both sides fixed: `corpus` (built from
+/// `dataset`) supplies each value's ids and the dataset-wide IDF, and
+/// Jaro-Winkler is memoized per id pair across the whole run. Row `i`
+/// equals [`FeatureExtractor::extract`] on record `i` bit for bit.
+pub(crate) fn corpus_rows(dataset: &EmDataset, corpus: &Corpus) -> Vec<f64> {
+    let schema = dataset.schema();
+    let idf_by_id = corpus.idf_by_id();
+    // Only probed, never iterated.
+    let mut jw_memo: HashMap<(u32, u32), f64> = HashMap::new();
+    let mut scratch = Scratch::default();
+    // One evaluator per attribute, re-frozen at every record's values.
+    let mut attrs: Vec<AttrState> = (0..schema.len())
+        .map(|a| {
+            let fixed = || SideState::Fixed(Frozen::default());
+            AttrState::new(schema.attribute(a).kind, fixed(), fixed(), |_, _| 0.0)
+        })
+        .collect();
+    let mut rows = Vec::with_capacity(dataset.len() * schema.len());
+    for (r, record) in dataset.records().iter().enumerate() {
+        for (a, attr) in attrs.iter_mut().enumerate() {
+            attr.refreeze(
+                (record.pair.left.value(a), corpus.value_ids(r, 0, a)),
+                (record.pair.right.value(a), corpus.value_ids(r, 1, a)),
+                &idf_by_id,
+                |l, rt| {
+                    *jw_memo
+                        .entry((l, rt))
+                        .or_insert_with(|| jaro_winkler(corpus.token(l), corpus.token(rt)))
+                },
+            );
+            rows.push(attr.evaluate(&[], &mut scratch, &idf_by_id));
+        }
+    }
+    rows
 }
 
 /// Feature-level prepared state + scratch: computes the per-mask feature
@@ -522,6 +556,7 @@ enum PreparedFamily<'a> {
 #[derive(Debug)]
 pub(crate) struct PreparedFeatures<'a> {
     family: PreparedFamily<'a>,
+    mask_len: usize,
     scratch: Scratch,
 }
 
@@ -532,25 +567,48 @@ impl<'a> PreparedFeatures<'a> {
         spec: &PerturbSpec<'a>,
     ) -> Self {
         let family = match spec {
-            PerturbSpec::TokenDrop { pair, left, right } => PreparedFamily::TokenDrop(
-                PreparedTokenDrop::new(extractor, schema, pair, left, right),
-            ),
-            PerturbSpec::AttrCopy { pair, copy_into } => {
-                PreparedFamily::AttrCopy(PreparedAttrCopy::new(extractor, schema, pair, *copy_into))
+            PerturbSpec::TokenDrop { pair, left, right } => {
+                PreparedFamily::token_drop(extractor, schema, pair, left, right)
+            }
+            PerturbSpec::AttrCopy { pair, .. } => {
+                let all_copied = spec.reconstruct(&vec![false; schema.len()], schema.len());
+                PreparedFamily::AttrCopy {
+                    kept: extractor.extract(schema, pair),
+                    copied: extractor.extract(schema, &all_copied),
+                }
             }
         };
         PreparedFeatures {
             family,
+            mask_len: spec.mask_len(schema.len()),
             scratch: Scratch::default(),
         }
     }
 
-    /// The feature vector for one mask (borrowed from internal scratch).
+    /// The feature vector for one mask (borrowed from internal scratch),
+    /// bit-identical to extracting from the reconstructed pair.
     pub(crate) fn compute(&mut self, mask: &[bool]) -> &[f64] {
+        assert_eq!(
+            mask.len(),
+            self.mask_len,
+            "perturbation mask length must equal the spec's mask length"
+        );
+        let scratch = &mut self.scratch;
+        scratch.features.clear();
         match &self.family {
-            PreparedFamily::TokenDrop(td) => td.features(mask, &mut self.scratch),
-            PreparedFamily::AttrCopy(ac) => ac.features(mask, &mut self.scratch),
+            PreparedFamily::TokenDrop { attrs, idf_by_id } => {
+                for attr in attrs {
+                    let value = attr.evaluate(mask, scratch, idf_by_id);
+                    scratch.features.push(value);
+                }
+            }
+            PreparedFamily::AttrCopy { kept, copied } => {
+                for ((&keep, &k), &c) in mask.iter().zip(kept).zip(copied) {
+                    scratch.features.push(if keep { k } else { c });
+                }
+            }
         }
+        &scratch.features
     }
 }
 

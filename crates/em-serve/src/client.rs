@@ -97,7 +97,8 @@ impl ClientError {
 
 /// Sends one request and reads the full response, under
 /// [`DEFAULT_TIMEOUT`]. Any parsed response — whatever its status — is
-/// `Ok`; use [`exchange`] when the caller needs failures typed.
+/// `Ok`; use [`exchange_with_timeout`] when the caller needs failures
+/// typed.
 pub fn request(
     addr: SocketAddr,
     method: &str,
@@ -119,21 +120,10 @@ pub fn request_with_timeout(
     transfer(addr, method, path, body, timeout).map_err(ClientError::into_io)
 }
 
-/// Sends one request under [`DEFAULT_TIMEOUT`], with failures typed for
-/// failover: `Ok` is a 2xx response; a non-2xx answer is
-/// [`ClientError::Status`] carrying the full response.
-pub fn exchange(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> Result<ClientResponse, ClientError> {
-    exchange_with_timeout(addr, method, path, body, DEFAULT_TIMEOUT)
-}
-
-/// [`exchange`] with an explicit timeout. `timeout` bounds the connect
-/// and each individual read/write syscall; a server that accepts but
-/// never answers fails the first read within one `timeout` instead of
+/// Sends one request with failures typed for failover: `Ok` is a 2xx
+/// response; a non-2xx answer is [`ClientError::Status`] carrying the
+/// full response. `timeout` bounds the connect and each individual
+/// read/write syscall; a server that accepts but never answers fails the first read within one `timeout` instead of
 /// hanging forever. Sub-millisecond values are raised to 1 ms — a zero
 /// socket timeout means "block forever", the opposite of what a caller
 /// asking for a tiny timeout wants.

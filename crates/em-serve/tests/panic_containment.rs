@@ -1,10 +1,11 @@
-//! A request whose handler panics must cost one 500, never the worker.
+//! A request whose handler panics must cost one 500, never the worker;
+//! a request the numerics cannot survive must be refused up front.
 //!
-//! `kernel_width: 1e-50` passes codec validation (a positive number), but
-//! every LIME kernel weight then underflows to zero and the surrogate fit
-//! panics. On a one-worker server a dead worker would leave every later
-//! request hanging, so each exchange here runs under a client timeout:
-//! a regression fails the test instead of wedging it.
+//! The toy model below panics on a marker value, standing in for any
+//! fault deep in an explanation. On a one-worker server a dead worker
+//! would leave every later request hanging, so each exchange here runs
+//! under a client timeout: a regression fails the test instead of
+//! wedging it.
 
 use std::time::Duration;
 
@@ -17,12 +18,16 @@ use em_serve::{Server, ServerConfig};
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// A left `name` that makes [`EqualValues`] panic.
+const POISON: &str = "poison";
+
 /// A deterministic toy matcher: the share of attributes whose values are
-/// equal on both sides.
+/// equal on both sides. It panics on a [`POISON`] left name.
 struct EqualValues;
 
 impl MatchModel for EqualValues {
     fn predict_proba(&self, schema: &Schema, pair: &EntityPair) -> f64 {
+        assert!(pair.left.value(0) != POISON, "toy model fault");
         let equal = (0..schema.len())
             .filter(|&i| pair.left.value(i) == pair.right.value(i))
             .count();
@@ -30,7 +35,7 @@ impl MatchModel for EqualValues {
     }
 }
 
-fn explain_body(config: Vec<(&str, Value)>) -> String {
+fn explain_body(explainer: &str, left_name: &str, config: Vec<(&str, Value)>) -> String {
     let entity = |name: &str, price: &str| {
         Value::object(vec![
             ("name", Value::string(name)),
@@ -41,11 +46,11 @@ fn explain_body(config: Vec<(&str, Value)>) -> String {
         (
             "pair",
             Value::object(vec![
-                ("left", entity("sony alpha camera", "9")),
+                ("left", entity(left_name, "9")),
                 ("right", entity("sony kit", "9")),
             ]),
         ),
-        ("explainer", Value::string("lime")),
+        ("explainer", Value::string(explainer)),
         ("config", Value::object(config)),
     ])
     .to_json()
@@ -67,11 +72,11 @@ fn a_panicking_handler_answers_500_and_the_worker_survives() {
     let handle = server.spawn();
     let addr = handle.addr();
 
-    let deadly = explain_body(vec![
-        ("kernel_width", Value::Number(1e-50)),
-        ("n_samples", 32usize.into()),
-        ("seed", 7usize.into()),
-    ]);
+    let deadly = explain_body(
+        "lime",
+        POISON,
+        vec![("n_samples", 32usize.into()), ("seed", 7usize.into())],
+    );
     for attempt in 0..2 {
         let resp = client::request_with_timeout(addr, "POST", "/explain", &deadly, CLIENT_TIMEOUT)
             .unwrap_or_else(|e| panic!("attempt {attempt}: no answer from the worker: {e:?}"));
@@ -83,7 +88,11 @@ fn a_panicking_handler_answers_500_and_the_worker_survives() {
         .expect("the one worker still answers /healthz");
     assert_eq!(health.status, 200);
 
-    let normal = explain_body(vec![("n_samples", 32usize.into()), ("seed", 7usize.into())]);
+    let normal = explain_body(
+        "lime",
+        "sony alpha camera",
+        vec![("n_samples", 32usize.into()), ("seed", 7usize.into())],
+    );
     let served = client::request_with_timeout(addr, "POST", "/explain", &normal, CLIENT_TIMEOUT)
         .expect("a normal explain after the panics");
     assert_eq!(served.status, 200, "{}", served.body);
@@ -94,6 +103,23 @@ fn a_panicking_handler_answers_500_and_the_worker_survives() {
         served.body, direct,
         "served body diverged from a direct run"
     );
+
+    // Every kernel weight underflows to 0 at this width, so the surrogate
+    // fit would have nothing to fit: the codec refuses it with a 400.
+    for explainer in ["landmark", "lime"] {
+        let narrow = explain_body(
+            explainer,
+            "sony alpha camera",
+            vec![("kernel_width", Value::Number(1e-300))],
+        );
+        let resp = client::request_with_timeout(addr, "POST", "/explain", &narrow, CLIENT_TIMEOUT)
+            .expect("an answer to a too-narrow kernel");
+        assert_eq!(resp.status, 400, "{explainer}: {}", resp.body);
+        assert!(resp.body.contains("kernel_width"), "{}", resp.body);
+        let health = client::request_with_timeout(addr, "GET", "/healthz", "", CLIENT_TIMEOUT)
+            .expect("the worker still answers /healthz after a 400");
+        assert_eq!(health.status, 200);
+    }
 
     // The panics are charged as errors to the unparseable-request
     // endpoint; no new series appears.

@@ -9,7 +9,8 @@
 //! * corpus-weighted: [TF-IDF vectorizer + cosine](tfidf);
 //! * hybrid: [Monge-Elkan](mod@monge_elkan);
 //! * [numeric similarity](numeric) for price-like attributes;
-//! * [basic tokenization / normalization](tokens).
+//! * [basic tokenization / normalization](tokens);
+//! * [order-preserving token interning](intern) for id-space scoring.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -23,11 +24,10 @@ pub mod tfidf;
 pub mod token_sets;
 pub mod tokens;
 
-pub use intern::Interner;
 pub use jaro::{jaro, jaro_winkler};
 pub use levenshtein::{levenshtein, levenshtein_similarity};
 pub use monge_elkan::monge_elkan;
 pub use numeric::{numeric_similarity, numeric_value_similarity, parse_number};
 pub use tfidf::{cosine_prepared, smoothed_idf, PreparedDoc, TfIdfVectorizer};
 pub use token_sets::{dice, jaccard, overlap_coefficient};
-pub use tokens::{normalize, whitespace_tokens};
+pub use tokens::{normalize_into, normalized_tokens};

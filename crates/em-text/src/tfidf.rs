@@ -7,9 +7,12 @@
 //! All floating-point accumulation here happens in byte-lexicographic
 //! token order (sorted slices / merge-joins, never hash-map iteration),
 //! so cosine values are deterministic across runs and can be reproduced
-//! bit-for-bit by the prepared kernel via [`cosine_prepared`], whose
-//! interned ids ascend in the same lexicographic order
-//! (see [`crate::intern::Interner`]).
+//! bit-for-bit over interned ids via [`PreparedDoc`] and
+//! [`cosine_prepared`]: ids from [`crate::intern::TokenIds`] ascend in the
+//! same lexicographic order. Callers weight ids with their own per-id
+//! IDF vector (the kernel looks each interned token up with
+//! [`TfIdfVectorizer::idf`]; training computes [`smoothed_idf`] from its
+//! document frequencies).
 
 use std::collections::HashMap;
 
@@ -88,18 +91,6 @@ impl TfIdfVectorizer {
             wb.iter().map(|(t, w)| (*t, *w)),
         )
     }
-
-    /// Per-id IDF weights for every token of an
-    /// [`Interner`](crate::intern::Interner), indexed by interned id.
-    ///
-    /// `out[id] == self.idf(interner.get(id))` — precomputed once per
-    /// prepared pair so the kernel never touches the IDF hash map in its
-    /// per-mask loop.
-    pub fn idf_by_id(&self, interner: &crate::intern::Interner) -> Vec<f64> {
-        (0..interner.len())
-            .map(|id| self.idf(interner.get(id as u32)))
-            .collect()
-    }
 }
 
 /// Shared cosine core: both inputs must be sparse `(key, weight)` entries
@@ -148,20 +139,9 @@ pub struct PreparedDoc {
 }
 
 impl PreparedDoc {
-    /// Builds a document from interned token ids (any order, duplicates
-    /// meaning repeated tokens) and the per-id IDF table from
-    /// [`TfIdfVectorizer::idf_by_id`].
-    pub fn from_ids(ids: &[u32], idf_by_id: &[f64]) -> Self {
-        let mut doc = Self::default();
-        let mut sorted = ids.to_vec();
-        sorted.sort_unstable();
-        doc.rebuild_from_sorted_ids(&sorted, idf_by_id);
-        doc
-    }
-
-    /// Rebuilds in place from ids already sorted ascending (duplicates
-    /// meaning repeated tokens). Reuses the entry buffer — this is the
-    /// per-mask hot path.
+    /// Rebuilds in place from ids sorted ascending (duplicates meaning
+    /// repeated tokens), weighting id `i` by `idf_by_id[i]`. Reuses the
+    /// entry buffer — this is the per-mask hot path.
     pub fn rebuild_from_sorted_ids(&mut self, sorted_ids: &[u32], idf_by_id: &[f64]) {
         debug_assert!(sorted_ids.windows(2).all(|w| w[0] <= w[1]));
         self.entries.clear();
@@ -176,16 +156,6 @@ impl PreparedDoc {
                 .push((id, count as f64 * idf_by_id[id as usize]));
             i += count;
         }
-    }
-
-    /// Whether the document has no tokens.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of distinct token ids in the document.
-    pub fn distinct(&self) -> usize {
-        self.entries.len()
     }
 }
 
@@ -205,7 +175,7 @@ pub fn cosine_prepared(a: &PreparedDoc, b: &PreparedDoc) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intern::Interner;
+    use crate::intern::TokenIds;
 
     /// Four documents: "sony camera digital", "nikon camera digital",
     /// "leather case black", "camera lens kit".
@@ -305,12 +275,19 @@ mod tests {
         ];
         for a in &docs {
             for b in &docs {
-                let interner = Interner::from_tokens(a.iter().chain(b.iter()).copied());
-                let idf = v.idf_by_id(&interner);
-                let ids_a: Vec<u32> = a.iter().map(|t| interner.id(t).unwrap()).collect();
-                let ids_b: Vec<u32> = b.iter().map(|t| interner.id(t).unwrap()).collect();
-                let pa = PreparedDoc::from_ids(&ids_a, &idf);
-                let pb = PreparedDoc::from_ids(&ids_b, &idf);
+                let mut interning = TokenIds::default();
+                let first_a: Vec<u32> = a.iter().filter_map(|t| interning.id(t)).collect();
+                let first_b: Vec<u32> = b.iter().filter_map(|t| interning.id(t)).collect();
+                let (vocabulary, remap) = interning.into_sorted();
+                let idf: Vec<f64> = vocabulary.iter().map(|t| v.idf(t)).collect();
+                let doc = |first_seen: &[u32]| {
+                    let mut ids: Vec<u32> = first_seen.iter().map(|&i| remap[i as usize]).collect();
+                    ids.sort_unstable();
+                    let mut doc = PreparedDoc::default();
+                    doc.rebuild_from_sorted_ids(&ids, &idf);
+                    doc
+                };
+                let (pa, pb) = (doc(&first_a), doc(&first_b));
                 let naive = v.cosine(a, b);
                 let prepared = cosine_prepared(&pa, &pb);
                 assert_eq!(
@@ -325,15 +302,13 @@ mod tests {
     #[test]
     fn prepared_doc_reuses_buffer() {
         let v = build_small_corpus();
-        let interner = Interner::from_tokens(["camera", "sony"]);
-        let idf = v.idf_by_id(&interner);
+        let idf = [v.idf("camera"), v.idf("sony")];
         let mut doc = PreparedDoc::default();
         doc.rebuild_from_sorted_ids(&[0, 0, 1], &idf);
-        assert_eq!(doc.distinct(), 2);
+        assert_eq!(doc.entries, [(0, 2.0 * idf[0]), (1, idf[1])]);
         doc.rebuild_from_sorted_ids(&[1], &idf);
-        assert_eq!(doc.distinct(), 1);
-        assert!(!doc.is_empty());
+        assert_eq!(doc.entries, [(1, idf[1])]);
         doc.rebuild_from_sorted_ids(&[], &idf);
-        assert!(doc.is_empty());
+        assert!(doc.entries.is_empty());
     }
 }

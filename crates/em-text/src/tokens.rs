@@ -3,26 +3,15 @@
 //! The paper tokenizes attribute values by splitting on whitespace ("we
 //! create a token for each space-separated term"); attribute-level
 //! prefixing is handled one layer up in `em-entity`. Here we provide the
-//! raw splitting plus a light normalization used when *comparing* tokens
-//! (similarities should be case-insensitive and punctuation-robust).
+//! light normalization used when *comparing* tokens (similarities should
+//! be case-insensitive and punctuation-robust).
 
-/// Splits a string on whitespace, dropping empty fragments.
-pub fn whitespace_tokens(s: &str) -> Vec<&str> {
-    s.split_whitespace().collect()
-}
-
-/// Normalizes a token for comparison: lowercases and strips leading /
-/// trailing ASCII punctuation (interior punctuation like `10.2` survives).
-pub fn normalize(token: &str) -> String {
-    token
-        .trim_matches(|c: char| c.is_ascii_punctuation())
-        .to_lowercase()
-}
-
-/// [`normalize`] written into a reused buffer. ASCII tokens (the common
-/// case) are lowercased in place without allocating; any other token is
-/// lowercased by `str::to_lowercase`, which keeps context-dependent rules
-/// such as final sigma.
+/// Normalizes a token for comparison into a reused buffer: lowercases and
+/// strips leading / trailing ASCII punctuation (interior punctuation like
+/// `10.2` survives). ASCII tokens (the common case) are lowercased in
+/// place without allocating; any other token is lowercased by
+/// `str::to_lowercase`, which keeps context-dependent rules such as final
+/// sigma.
 pub fn normalize_into<'b>(token: &str, buf: &'b mut String) -> &'b str {
     let trimmed = token.trim_matches(|c: char| c.is_ascii_punctuation());
     buf.clear();
@@ -35,11 +24,12 @@ pub fn normalize_into<'b>(token: &str, buf: &'b mut String) -> &'b str {
     buf
 }
 
-/// Tokenizes and normalizes, dropping tokens that normalize to empty.
+/// Splits on whitespace and normalizes, dropping tokens that normalize
+/// to empty.
 pub fn normalized_tokens(s: &str) -> Vec<String> {
-    whitespace_tokens(s)
-        .into_iter()
-        .map(normalize)
+    let mut buf = String::new();
+    s.split_whitespace()
+        .map(|t| normalize_into(t, &mut buf).to_owned())
         .filter(|t| !t.is_empty())
         .collect()
 }
@@ -48,14 +38,8 @@ pub fn normalized_tokens(s: &str) -> Vec<String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn whitespace_tokens_splits_and_drops_empties() {
-        assert_eq!(
-            whitespace_tokens("  sony  alpha camera "),
-            vec!["sony", "alpha", "camera"]
-        );
-        assert!(whitespace_tokens("   ").is_empty());
-        assert!(whitespace_tokens("").is_empty());
+    fn normalize(token: &str) -> String {
+        normalize_into(token, &mut String::new()).to_owned()
     }
 
     #[test]
@@ -77,7 +61,7 @@ mod tests {
     }
 
     #[test]
-    fn normalize_into_equals_normalize() {
+    fn normalize_into_lowercases_like_str_to_lowercase() {
         let mut buf = String::from("stale");
         for t in [
             "Sony",
@@ -90,15 +74,20 @@ mod tests {
             "İstanbul",
             "ÉCLAIR!",
         ] {
-            assert_eq!(normalize_into(t, &mut buf), normalize(t), "{t:?}");
+            let reference = t
+                .trim_matches(|c: char| c.is_ascii_punctuation())
+                .to_lowercase();
+            assert_eq!(normalize_into(t, &mut buf), reference, "{t:?}");
         }
     }
 
     #[test]
-    fn normalized_tokens_filters_empties() {
+    fn normalized_tokens_splits_and_filters_empties() {
         assert_eq!(
-            normalized_tokens("Sony - Camera !!"),
-            vec!["sony", "camera"]
+            normalized_tokens("  Sony - Camera !!\t alpha "),
+            vec!["sony", "camera", "alpha"]
         );
+        assert!(normalized_tokens("   ").is_empty());
+        assert!(normalized_tokens("").is_empty());
     }
 }

@@ -124,6 +124,11 @@ fn all_specs<'a>(
             left: SideSpec::Varying(left_tokens),
             right: SideSpec::Varying(right_tokens),
         },
+        PerturbSpec::TokenDrop {
+            pair,
+            left: SideSpec::Fixed,
+            right: SideSpec::Fixed,
+        },
         PerturbSpec::AttrCopy {
             pair,
             copy_into: EntitySide::Left,
