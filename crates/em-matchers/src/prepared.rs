@@ -8,8 +8,11 @@
 //! that work is mask-invariant: the token set is fixed (masks only toggle
 //! membership), the landmark side never changes, and every pairwise
 //! Jaro-Winkler value is drawn from a fixed matrix. This module hoists the
-//! mask-invariant work into a one-time preparation step and scores each
-//! mask with integer id merges over reusable buffers.
+//! mask-invariant work into a one-time preparation step: both sides of a
+//! Name or Text attribute are merged by interned id once, so a mask costs
+//! one pass that counts kept tokens per id, and an attribute with few
+//! varying tokens is evaluated once per distinct sub-mask (its own bits)
+//! and then looked up.
 //!
 //! Training runs the same per-attribute evaluator with both sides fixed,
 //! over the token ids the training corpus interned once for the whole
@@ -21,15 +24,18 @@
 //! reconstructed pair:
 //!
 //! * interned token ids ascend in byte-lexicographic string order
-//!   ([`TokenIds`]), so sorted-id merges visit (and sum) entries in the
-//!   same order as the sorted-string merges of the naive TF-IDF path;
+//!   ([`TokenIds`]), so a pass over ids in ascending order visits (and
+//!   sums) entries in the same order as the sorted-string merges of the
+//!   naive TF-IDF path; an id one side lacks adds an exact `+0.0`;
 //! * Jaccard counts are integers either way; the final division uses the
 //!   same two casts;
 //! * Monge-Elkan folds the precomputed Jaro-Winkler matrix in the same
 //!   token order with the same `f64::max` accumulator;
 //! * numeric parsing per token is equivalent to parsing the joined string
 //!   (a space always flushes the current number fragment), and the blend /
-//!   fallback helpers are shared functions, not re-implementations.
+//!   fallback helpers are shared functions, not re-implementations;
+//! * an attribute's feature reads only its own mask bits, so the sub-mask
+//!   memo returns the value the evaluator computed for those bits before.
 //!
 //! The property suites (`tests/property_kernel.rs`,
 //! `tests/property_training.rs`) and the `kernel_speedup` bench assert the
@@ -43,14 +49,17 @@ use em_entity::schema::AttributeKind;
 use em_entity::{EmDataset, Entity, EntityPair, EntitySide, Schema};
 use em_linalg::logistic::LogisticModel;
 use em_text::intern::TokenIds;
-use em_text::tfidf::{cosine_prepared, PreparedDoc};
 use em_text::{jaro_winkler, levenshtein_similarity, numeric_value_similarity, parse_number};
 
 use crate::corpus::Corpus;
 use crate::features::{code_similarity_norm, combine_name, combine_text, FeatureExtractor};
-use crate::id_space::{jaccard_ids, monge_elkan_matrix};
+use crate::id_space::{monge_elkan_matrix, IdUnion};
 use crate::logistic_matcher::LogisticMatcher;
 use crate::naive_bayes::NaiveBayesMatcher;
+
+/// Attributes with at most this many varying tokens keep a sub-mask memo
+/// of `2^n` slots (1,024 at most); longer ones are evaluated every mask.
+const MEMO_BITS: usize = 10;
 
 /// A side frozen at one attribute value: everything here is computed
 /// once and valid for every mask. Only what the attribute's kind reads is
@@ -61,10 +70,9 @@ struct Frozen<'a> {
     raw: &'a str,
     /// Normalized token ids in token order (the Monge-Elkan sequence).
     ids: Vec<u32>,
-    /// `ids` sorted ascending (Name, Text: the Jaccard / TF-IDF form).
-    sorted_ids: Vec<u32>,
-    /// Prepared TF-IDF document (Text).
-    doc: PreparedDoc,
+    /// `ids` sorted ascending, as [`IdUnion::rebuild`] takes them: no
+    /// mask bit (Name, Text).
+    by_id: Vec<(u32, Option<usize>)>,
     /// `parse_number(raw)` (Numeric).
     parsed: Option<f64>,
     /// `raw.trim().to_lowercase()` (Code).
@@ -75,18 +83,14 @@ impl<'a> Frozen<'a> {
     /// Freezes the side at value `raw` of a `kind` attribute, whose
     /// normalized token ids in token order are `ids`, reusing the buffers
     /// of the value frozen before.
-    fn set(&mut self, kind: AttributeKind, raw: &'a str, ids: &[u32], idf_by_id: &[f64]) {
+    fn set(&mut self, kind: AttributeKind, raw: &'a str, ids: &[u32]) {
         self.raw = raw;
         self.ids.clear();
         self.ids.extend_from_slice(ids);
-        self.sorted_ids.clear();
+        self.by_id.clear();
         if matches!(kind, AttributeKind::Name | AttributeKind::Text) {
-            self.sorted_ids.extend_from_slice(ids);
-            self.sorted_ids.sort_unstable();
-        }
-        if kind == AttributeKind::Text {
-            self.doc
-                .rebuild_from_sorted_ids(&self.sorted_ids, idf_by_id);
+            self.by_id.extend(ids.iter().map(|&id| (id, None)));
+            self.by_id.sort_unstable();
         }
         self.parsed = match kind {
             AttributeKind::Numeric => parse_number(raw),
@@ -114,8 +118,11 @@ enum SideState<'a> {
         /// Normalized ids of the tokens whose normalization is non-empty,
         /// in token order — the Monge-Elkan sequence.
         ids: Vec<u32>,
-        /// Local token index of each entry of `ids`.
-        norm_local: Vec<usize>,
+        /// Global mask-bit index of each entry of `ids`.
+        norm_bit: Vec<usize>,
+        /// `(id, mask bit)` of each entry of `ids`, in ascending (id,
+        /// position) order.
+        by_id: Vec<(u32, Option<usize>)>,
         /// `parse_number(token)` per token, in token order.
         parsed: Vec<Option<f64>>,
         /// Lowercased token texts, in token order (Code-kind form).
@@ -135,7 +142,6 @@ impl<'a> SideState<'a> {
         ids: &[(usize, Option<u32>)],
         attr: usize,
         offset: usize,
-        idf_by_id: &[f64],
     ) -> Self {
         match spec {
             SideSpec::Fixed => {
@@ -145,14 +151,14 @@ impl<'a> SideState<'a> {
                     .filter_map(|&(_, id)| id)
                     .collect();
                 let mut frozen = Frozen::default();
-                frozen.set(kind, entity.value(attr), &ids, idf_by_id);
+                frozen.set(kind, entity.value(attr), &ids);
                 SideState::Fixed(frozen)
             }
             SideSpec::Varying(tokens) => {
                 let mut feat_idx = Vec::new();
                 let mut raw: Vec<&'a str> = Vec::new();
                 let mut norm_ids = Vec::new();
-                let mut norm_local = Vec::new();
+                let mut norm_bit = Vec::new();
                 let mut parsed = Vec::new();
                 let mut lower = Vec::new();
                 for (global, (token, &(_, id))) in tokens.iter().zip(ids).enumerate() {
@@ -161,18 +167,27 @@ impl<'a> SideState<'a> {
                     }
                     if let Some(id) = id {
                         norm_ids.push(id);
-                        norm_local.push(raw.len());
+                        norm_bit.push(offset + global);
                     }
                     feat_idx.push(offset + global);
                     raw.push(token.text.as_str());
                     parsed.push(parse_number(&token.text));
                     lower.push(token.text.to_lowercase());
                 }
+                // Mask bits ascend with position, so this is (id, position)
+                // order.
+                let mut by_id: Vec<(u32, Option<usize>)> = norm_ids
+                    .iter()
+                    .zip(&norm_bit)
+                    .map(|(&id, &bit)| (id, Some(bit)))
+                    .collect();
+                by_id.sort_unstable();
                 SideState::Varying {
                     feat_idx,
                     raw,
                     ids: norm_ids,
-                    norm_local,
+                    norm_bit,
+                    by_id,
                     parsed,
                     lower,
                 }
@@ -188,48 +203,35 @@ impl<'a> SideState<'a> {
         }
     }
 
-    /// Collects the mask-surviving normalized tokens: `seq` gets their
-    /// positions in this side's Monge-Elkan sequence (ascending), `ids`
-    /// their interned ids sorted ascending (duplicates preserved).
-    fn gather_norm(&self, mask: &[bool], seq: &mut Vec<usize>, ids: &mut Vec<u32>) {
-        seq.clear();
-        ids.clear();
+    /// The global mask bits of this side's tokens (none for a fixed side).
+    fn bits(&self) -> &[usize] {
         match self {
-            SideState::Fixed(frozen) => {
-                seq.extend(0..frozen.ids.len());
-                ids.extend_from_slice(&frozen.sorted_ids);
-            }
-            SideState::Varying {
-                feat_idx,
-                ids: all,
-                norm_local,
-                ..
-            } => {
-                for (k, (local, id)) in norm_local.iter().zip(all).enumerate() {
-                    if mask[feat_idx[*local]] {
-                        seq.push(k);
-                        ids.push(*id);
-                    }
-                }
-                ids.sort_unstable();
-            }
+            SideState::Fixed(_) => &[],
+            SideState::Varying { feat_idx, .. } => feat_idx,
         }
     }
 
-    /// The prepared TF-IDF document for the mask-surviving tokens whose
-    /// sorted ids are `sorted_ids` (from [`SideState::gather_norm`]).
-    fn doc<'s>(
-        &'s self,
-        sorted_ids: &[u32],
-        buf: &'s mut PreparedDoc,
-        idf_by_id: &[f64],
-    ) -> &'s PreparedDoc {
+    /// Every normalized token as `(id, mask bit)`, ascending (Name, Text).
+    fn by_id(&self) -> &[(u32, Option<usize>)] {
         match self {
-            SideState::Fixed(frozen) => &frozen.doc,
-            SideState::Varying { .. } => {
-                buf.rebuild_from_sorted_ids(sorted_ids, idf_by_id);
-                buf
-            }
+            SideState::Fixed(frozen) => &frozen.by_id,
+            SideState::Varying { by_id, .. } => by_id,
+        }
+    }
+
+    /// Collects into `seq` the positions, in this side's Monge-Elkan
+    /// sequence, of the mask-surviving normalized tokens (ascending).
+    fn gather_seq(&self, mask: &[bool], seq: &mut Vec<usize>) {
+        seq.clear();
+        match self {
+            SideState::Fixed(frozen) => seq.extend(0..frozen.ids.len()),
+            SideState::Varying { norm_bit, .. } => seq.extend(
+                norm_bit
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &bit)| mask[bit])
+                    .map(|(k, _)| k),
+            ),
         }
     }
 
@@ -308,6 +310,9 @@ struct AttrState<'a> {
     /// side's full normalized-token sequence (rows) and the right side's
     /// (columns). Empty for other kinds.
     jw: Vec<f64>,
+    /// Name and Text: both sides' tokens merged by id. Empty for other
+    /// kinds.
+    union: IdUnion,
 }
 
 impl<'a> AttrState<'a> {
@@ -317,6 +322,7 @@ impl<'a> AttrState<'a> {
         kind: AttributeKind,
         left: SideState<'a>,
         right: SideState<'a>,
+        idf_by_id: &[f64],
         jaro: impl FnMut(u32, u32) -> f64,
     ) -> Self {
         let mut attr = AttrState {
@@ -324,8 +330,9 @@ impl<'a> AttrState<'a> {
             left,
             right,
             jw: Vec::new(),
+            union: IdUnion::default(),
         };
-        attr.fill_jw(jaro);
+        attr.fill_pairwise(idf_by_id, jaro);
         attr
     }
 
@@ -342,13 +349,18 @@ impl<'a> AttrState<'a> {
             let SideState::Fixed(frozen) = side else {
                 unreachable!("only fixed sides are re-frozen");
             };
-            frozen.set(self.kind, raw, ids, idf_by_id);
+            frozen.set(self.kind, raw, ids);
         }
-        self.fill_jw(jaro);
+        self.fill_pairwise(idf_by_id, jaro);
     }
 
-    /// Recomputes the Jaro-Winkler matrix from both sides' ids.
-    fn fill_jw(&mut self, mut jaro: impl FnMut(u32, u32) -> f64) {
+    /// Recomputes what depends on both sides' ids: the id union (Name,
+    /// Text) and the Jaro-Winkler matrix (Name).
+    fn fill_pairwise(&mut self, idf_by_id: &[f64], mut jaro: impl FnMut(u32, u32) -> f64) {
+        if matches!(self.kind, AttributeKind::Name | AttributeKind::Text) {
+            self.union
+                .rebuild(self.left.by_id(), self.right.by_id(), idf_by_id);
+        }
         self.jw.clear();
         // The matrix is only consulted for Name attributes; skip the
         // quadratic work everywhere else.
@@ -362,26 +374,36 @@ impl<'a> AttrState<'a> {
         }
     }
 
+    /// How many mask bits this attribute reads: its varying tokens.
+    fn n_bits(&self) -> usize {
+        self.left.bits().len() + self.right.bits().len()
+    }
+
+    /// The attribute's own mask bits (left side's tokens, then the right
+    /// side's), packed into an integer: bit `k` is its `k`-th token's bit.
+    fn sub_mask(&self, mask: &[bool]) -> usize {
+        self.left
+            .bits()
+            .iter()
+            .chain(self.right.bits())
+            .enumerate()
+            .fold(0, |key, (k, &bit)| key | usize::from(mask[bit]) << k)
+    }
+
     /// The attribute's feature under `mask`, bit-identical to extracting
     /// it from the reconstructed pair.
-    fn evaluate(&self, mask: &[bool], scratch: &mut Scratch, idf_by_id: &[f64]) -> f64 {
+    fn evaluate(&self, mask: &[bool], scratch: &mut Scratch) -> f64 {
         match self.kind {
             AttributeKind::Name | AttributeKind::Text => {
-                self.left
-                    .gather_norm(mask, &mut scratch.l_seq, &mut scratch.l_ids);
-                self.right
-                    .gather_norm(mask, &mut scratch.r_seq, &mut scratch.r_ids);
-                let jac = jaccard_ids(&scratch.l_ids, &scratch.r_ids);
+                let overlap = self.union.overlap(mask);
                 if self.kind == AttributeKind::Name {
+                    self.left.gather_seq(mask, &mut scratch.l_seq);
+                    self.right.gather_seq(mask, &mut scratch.r_seq);
                     let ncols = self.right.ids().len();
                     let me = monge_elkan_matrix(&scratch.l_seq, &scratch.r_seq, &self.jw, ncols);
-                    combine_name(jac, me)
+                    combine_name(overlap.jaccard(), me)
                 } else {
-                    let ld = self.left.doc(&scratch.l_ids, &mut scratch.l_doc, idf_by_id);
-                    let rd = self
-                        .right
-                        .doc(&scratch.r_ids, &mut scratch.r_doc, idf_by_id);
-                    combine_text(cosine_prepared(ld, rd), jac)
+                    combine_text(overlap.cosine(), overlap.jaccard())
                 }
             }
             AttributeKind::Numeric => {
@@ -412,10 +434,6 @@ impl<'a> AttrState<'a> {
 struct Scratch {
     l_seq: Vec<usize>,
     r_seq: Vec<usize>,
-    l_ids: Vec<u32>,
-    r_ids: Vec<u32>,
-    l_doc: PreparedDoc,
-    r_doc: PreparedDoc,
     l_str: String,
     r_str: String,
     features: Vec<f64>,
@@ -425,11 +443,12 @@ struct Scratch {
 /// matcher kernels.
 #[derive(Debug)]
 enum PreparedFamily<'a> {
-    /// Token drop (Landmark, LIME): one evaluator per attribute, over ids
-    /// weighted by `idf_by_id`.
+    /// Token drop (Landmark, LIME): one evaluator per attribute and its
+    /// sub-mask memo: `2^n` slots indexed by [`AttrState::sub_mask`] when
+    /// the attribute has `n <= MEMO_BITS` varying tokens, empty otherwise.
     TokenDrop {
         attrs: Vec<AttrState<'a>>,
-        idf_by_id: Vec<f64>,
+        memos: Vec<Vec<Option<f64>>>,
     },
     /// Attribute copy (Mojito copy): every attribute can only take two
     /// values — its original similarity or its fully-copied similarity —
@@ -495,21 +514,21 @@ impl<'a> PreparedFamily<'a> {
                 let kind = schema.attribute(a).kind;
                 AttrState::new(
                     kind,
-                    SideState::prepare(kind, left, &pair.left, &l_ids, a, 0, &idf_by_id),
-                    SideState::prepare(
-                        kind,
-                        right,
-                        &pair.right,
-                        &r_ids,
-                        a,
-                        right_offset,
-                        &idf_by_id,
-                    ),
+                    SideState::prepare(kind, left, &pair.left, &l_ids, a, 0),
+                    SideState::prepare(kind, right, &pair.right, &r_ids, a, right_offset),
+                    &idf_by_id,
                     |l, r| jaro_winkler(&vocabulary[l as usize], &vocabulary[r as usize]),
                 )
             })
+            .collect::<Vec<AttrState>>();
+        let memos = attrs
+            .iter()
+            .map(|attr| match attr.n_bits() {
+                n if n <= MEMO_BITS => vec![None; 1 << n],
+                _ => Vec::new(),
+            })
             .collect();
-        PreparedFamily::TokenDrop { attrs, idf_by_id }
+        PreparedFamily::TokenDrop { attrs, memos }
     }
 }
 
@@ -528,7 +547,7 @@ pub(crate) fn corpus_rows(dataset: &EmDataset, corpus: &Corpus) -> Vec<f64> {
     let mut attrs: Vec<AttrState> = (0..schema.len())
         .map(|a| {
             let fixed = || SideState::Fixed(Frozen::default());
-            AttrState::new(schema.attribute(a).kind, fixed(), fixed(), |_, _| 0.0)
+            AttrState::new(schema.attribute(a).kind, fixed(), fixed(), &[], |_, _| 0.0)
         })
         .collect();
     let mut rows = Vec::with_capacity(dataset.len() * schema.len());
@@ -544,7 +563,7 @@ pub(crate) fn corpus_rows(dataset: &EmDataset, corpus: &Corpus) -> Vec<f64> {
                         .or_insert_with(|| jaro_winkler(corpus.token(l), corpus.token(rt)))
                 },
             );
-            rows.push(attr.evaluate(&[], &mut scratch, &idf_by_id));
+            rows.push(attr.evaluate(&[], &mut scratch));
         }
     }
     rows
@@ -595,15 +614,22 @@ impl<'a> PreparedFeatures<'a> {
         );
         let scratch = &mut self.scratch;
         scratch.features.clear();
-        match &self.family {
-            PreparedFamily::TokenDrop { attrs, idf_by_id } => {
-                for attr in attrs {
-                    let value = attr.evaluate(mask, scratch, idf_by_id);
+        match &mut self.family {
+            PreparedFamily::TokenDrop { attrs, memos } => {
+                for (attr, memo) in attrs.iter().zip(memos) {
+                    // A feature reads only its own attribute's bits, so a
+                    // sub-mask seen before has its feature already.
+                    let value = if memo.is_empty() {
+                        attr.evaluate(mask, scratch)
+                    } else {
+                        *memo[attr.sub_mask(mask)]
+                            .get_or_insert_with(|| attr.evaluate(mask, scratch))
+                    };
                     scratch.features.push(value);
                 }
             }
             PreparedFamily::AttrCopy { kept, copied } => {
-                for ((&keep, &k), &c) in mask.iter().zip(kept).zip(copied) {
+                for ((&keep, &k), &c) in mask.iter().zip(&*kept).zip(&*copied) {
                     scratch.features.push(if keep { k } else { c });
                 }
             }

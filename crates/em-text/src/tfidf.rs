@@ -7,12 +7,11 @@
 //! All floating-point accumulation here happens in byte-lexicographic
 //! token order (sorted slices / merge-joins, never hash-map iteration),
 //! so cosine values are deterministic across runs and can be reproduced
-//! bit-for-bit over interned ids via [`PreparedDoc`] and
-//! [`cosine_prepared`]: ids from [`crate::intern::TokenIds`] ascend in the
-//! same lexicographic order. Callers weight ids with their own per-id
-//! IDF vector (the kernel looks each interned token up with
-//! [`TfIdfVectorizer::idf`]; training computes [`smoothed_idf`] from its
-//! document frequencies).
+//! bit-for-bit over interned ids: ids from [`crate::intern::TokenIds`]
+//! ascend in the same lexicographic order. Id-space callers weight ids
+//! with their own per-id IDF vector (the kernel looks each interned token
+//! up with [`TfIdfVectorizer::idf`]; training computes [`smoothed_idf`]
+//! from its document frequencies).
 
 use std::collections::HashMap;
 
@@ -86,96 +85,33 @@ impl TfIdfVectorizer {
         }
         let wa = self.weighted(a);
         let wb = self.weighted(b);
-        cosine_from_sorted(
-            wa.iter().map(|(t, w)| (*t, *w)),
-            wb.iter().map(|(t, w)| (*t, *w)),
-        )
-    }
-}
-
-/// Shared cosine core: both inputs must be sparse `(key, weight)` entries
-/// sorted ascending by key with distinct keys. Accumulation order (and so
-/// the exact f64 result) depends only on the key order, which is identical
-/// for sorted strings and lexicographically-interned ids.
-fn cosine_from_sorted<K: Ord, A, B>(a: A, b: B) -> f64
-where
-    A: Iterator<Item = (K, f64)> + Clone,
-    B: Iterator<Item = (K, f64)> + Clone,
-{
-    let mut dot = 0.0;
-    let mut ia = a.clone();
-    let mut ib = b.clone();
-    let mut ca = ia.next();
-    let mut cb = ib.next();
-    while let (Some((ka, x)), Some((kb, y))) = (&ca, &cb) {
-        match ka.cmp(kb) {
-            std::cmp::Ordering::Less => ca = ia.next(),
-            std::cmp::Ordering::Greater => cb = ib.next(),
-            std::cmp::Ordering::Equal => {
-                dot += x * y;
-                ca = ia.next();
-                cb = ib.next();
+        // Merge-join in token order: the dot product accumulates in the
+        // order a merge over lexicographically interned ids visits too.
+        let mut dot = 0.0;
+        let (mut i, mut j) = (0, 0);
+        while let (Some(&(ka, x)), Some(&(kb, y))) = (wa.get(i), wb.get(j)) {
+            match ka.cmp(kb) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    dot += x * y;
+                    i += 1;
+                    j += 1;
+                }
             }
         }
-    }
-    let na: f64 = a.map(|(_, x)| x * x).sum::<f64>().sqrt();
-    let nb: f64 = b.map(|(_, y)| y * y).sum::<f64>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
-    }
-    (dot / (na * nb)).clamp(0.0, 1.0)
-}
-
-/// A TF-IDF document prepared for incremental mask scoring: sparse
-/// `(interned id, tf * idf)` entries sorted ascending by id.
-///
-/// Because interned ids ascend in lexicographic string order, a merge-join
-/// over two `PreparedDoc`s performs the *same sequence of f64 operations*
-/// as [`TfIdfVectorizer::cosine`] on the corresponding token lists, making
-/// [`cosine_prepared`] bit-identical to the naive path.
-#[derive(Debug, Clone, Default)]
-pub struct PreparedDoc {
-    entries: Vec<(u32, f64)>,
-}
-
-impl PreparedDoc {
-    /// Rebuilds in place from ids sorted ascending (duplicates meaning
-    /// repeated tokens), weighting id `i` by `idf_by_id[i]`. Reuses the
-    /// entry buffer — this is the per-mask hot path.
-    pub fn rebuild_from_sorted_ids(&mut self, sorted_ids: &[u32], idf_by_id: &[f64]) {
-        debug_assert!(sorted_ids.windows(2).all(|w| w[0] <= w[1]));
-        self.entries.clear();
-        let mut i = 0;
-        while i < sorted_ids.len() {
-            let id = sorted_ids[i];
-            let mut count = 1usize;
-            while i + count < sorted_ids.len() && sorted_ids[i + count] == id {
-                count += 1;
-            }
-            self.entries
-                .push((id, count as f64 * idf_by_id[id as usize]));
-            i += count;
+        let na: f64 = wa.iter().map(|(_, x)| x * x).sum::<f64>().sqrt();
+        let nb: f64 = wb.iter().map(|(_, y)| y * y).sum::<f64>().sqrt();
+        if na == 0.0 || nb == 0.0 {
+            return 0.0;
         }
+        (dot / (na * nb)).clamp(0.0, 1.0)
     }
-}
-
-/// Cosine similarity between two prepared TF-IDF documents, bit-identical
-/// to [`TfIdfVectorizer::cosine`] on the equivalent token lists (same
-/// empty-document conventions: both empty → 1, one empty → 0).
-pub fn cosine_prepared(a: &PreparedDoc, b: &PreparedDoc) -> f64 {
-    if a.entries.is_empty() && b.entries.is_empty() {
-        return 1.0;
-    }
-    if a.entries.is_empty() || b.entries.is_empty() {
-        return 0.0;
-    }
-    cosine_from_sorted(a.entries.iter().copied(), b.entries.iter().copied())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intern::TokenIds;
 
     /// Four documents: "sony camera digital", "nikon camera digital",
     /// "leather case black", "camera lens kit".
@@ -261,54 +197,5 @@ mod tests {
         let a = ["sony", "camera", "kit"];
         let b = ["nikon", "camera"];
         assert!((v.cosine(&a, &b) - v.cosine(&b, &a)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn prepared_cosine_is_bit_identical_to_naive() {
-        let v = build_small_corpus();
-        let docs: [&[&str]; 5] = [
-            &["sony", "camera", "camera", "kit"],
-            &["nikon", "camera"],
-            &["leather", "case", "black", "zzz"],
-            &["camera"],
-            &[],
-        ];
-        for a in &docs {
-            for b in &docs {
-                let mut interning = TokenIds::default();
-                let first_a: Vec<u32> = a.iter().filter_map(|t| interning.id(t)).collect();
-                let first_b: Vec<u32> = b.iter().filter_map(|t| interning.id(t)).collect();
-                let (vocabulary, remap) = interning.into_sorted();
-                let idf: Vec<f64> = vocabulary.iter().map(|t| v.idf(t)).collect();
-                let doc = |first_seen: &[u32]| {
-                    let mut ids: Vec<u32> = first_seen.iter().map(|&i| remap[i as usize]).collect();
-                    ids.sort_unstable();
-                    let mut doc = PreparedDoc::default();
-                    doc.rebuild_from_sorted_ids(&ids, &idf);
-                    doc
-                };
-                let (pa, pb) = (doc(&first_a), doc(&first_b));
-                let naive = v.cosine(a, b);
-                let prepared = cosine_prepared(&pa, &pb);
-                assert_eq!(
-                    naive.to_bits(),
-                    prepared.to_bits(),
-                    "{a:?} vs {b:?}: {naive} != {prepared}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn prepared_doc_reuses_buffer() {
-        let v = build_small_corpus();
-        let idf = [v.idf("camera"), v.idf("sony")];
-        let mut doc = PreparedDoc::default();
-        doc.rebuild_from_sorted_ids(&[0, 0, 1], &idf);
-        assert_eq!(doc.entries, [(0, 2.0 * idf[0]), (1, idf[1])]);
-        doc.rebuild_from_sorted_ids(&[1], &idf);
-        assert_eq!(doc.entries, [(1, idf[1])]);
-        doc.rebuild_from_sorted_ids(&[], &idf);
-        assert!(doc.entries.is_empty());
     }
 }

@@ -6,8 +6,10 @@
 //! — same bits — as reconstructing the perturbed pair and calling
 //! `predict_proba` on it. These tests drive that contract with random
 //! schemas (all four attribute kinds), random values (including empty,
-//! numeric, and punctuation-only), random logistic coefficients, random
-//! masks, every perturbation family, and both explainer layers on top.
+//! numeric, and punctuation-only, and long values of repeated words with
+//! unequal IDFs), random logistic coefficients, random masks and their
+//! one-bit neighbours, every perturbation family, and both explainer
+//! layers on top.
 
 use landmark_explanation::entity::schema::Attribute;
 use landmark_explanation::entity::{
@@ -35,8 +37,24 @@ impl<M: MatchModel> MatchModel for NaiveOnly<'_, M> {
     }
 }
 
+/// Words of unequal length whose length order differs from their
+/// byte-lexicographic order.
+const WORDS: [&str; 12] = [
+    "zoom", "at", "camera", "lens", "b", "digital", "kit", "xr", "optical", "a4", "sensor", "mp",
+];
+
+/// A long value: 8 to 40 words from [`WORDS`], word `k` drawn with weight
+/// `2 (11 - k) + 1`. Words repeat within a value (term frequency above 1)
+/// and the rarer ones appear in only some values (unequal IDFs), so the
+/// TF-IDF sums have enough unequal terms for their order to change bits.
+/// Lengths straddle the kernel's 10-bit sub-mask memo limit.
+fn long_value() -> impl Strategy<Value = String> {
+    let word = (0usize..144).prop_map(|r| WORDS[11 - r.isqrt()]);
+    prop::collection::vec(word, 8..41).prop_map(|w| w.join(" "))
+}
+
 fn entity(n_attrs: usize) -> impl Strategy<Value = Entity> {
-    prop::collection::vec(attr_value(), n_attrs).prop_map(Entity::new)
+    prop::collection::vec(prop_oneof![attr_value(), long_value()], n_attrs).prop_map(Entity::new)
 }
 
 /// A random scenario: schema kinds, the record under explanation, a small
@@ -144,26 +162,38 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Mask-level bit-identity, both model families, every spec family.
+    /// One scorer per spec scores a random mask and then that mask with
+    /// each bit flipped in turn, so two masks that differ in a single bit
+    /// of a memoized attribute meet the same scorer.
     #[test]
     fn prepared_scorer_is_bit_identical_to_fallback(
         s in scenario(3),
-        mask_bits in prop::collection::vec(any::<bool>(), 64),
+        mask_bits in prop::collection::vec(any::<bool>(), 256),
     ) {
         let nb = NaiveBayesMatcher::train(&s.dataset);
         let left_tokens = tokenize_entity(&s.pair.left);
         let right_tokens = tokenize_entity(&s.pair.right);
         for spec in all_specs(&s.pair, &left_tokens, &right_tokens) {
             let n = spec.mask_len(s.schema.len());
-            let mask: Vec<bool> = (0..n)
+            let base: Vec<bool> = (0..n)
                 .map(|i| mask_bits.get(i).copied().unwrap_or(true))
                 .collect();
+            let flipped = (0..n).map(|i| {
+                let mut mask = base.clone();
+                mask[i] = !mask[i];
+                mask
+            });
+            let masks: Vec<Vec<bool>> = std::iter::once(base.clone()).chain(flipped).collect();
             let logistic: &dyn MatchModel = &s.matcher;
             let bayes: &dyn MatchModel = &nb;
             for model in [logistic, bayes] {
-                let kernel = model.prepare_scorer(&s.schema, &spec).score_mask(&mask);
-                let naive =
-                    FallbackScorer::new(model, &s.schema, &spec).score_mask(&mask);
-                prop_assert_eq!(kernel.to_bits(), naive.to_bits());
+                let mut kernel = model.prepare_scorer(&s.schema, &spec);
+                let mut naive = FallbackScorer::new(model, &s.schema, &spec);
+                for mask in &masks {
+                    let k = kernel.score_mask(mask);
+                    let n = naive.score_mask(mask);
+                    prop_assert_eq!(k.to_bits(), n.to_bits());
+                }
             }
         }
     }
